@@ -61,10 +61,11 @@ class InvariantAuditor {
   virtual void audit(AuditReport& report) const = 0;
 };
 
-// Shard-safety contract: an AuditRegistry belongs to the thread driving its
-// Simulator (auditors walk that shard's live data structures mid-run, so a
-// lock could not make cross-thread use safe anyway). SingleOwner documents
-// and — in audit builds — enforces that, exactly like the Simulator itself.
+// Thread-safety contract: an AuditRegistry belongs to the thread driving
+// its Simulator (auditors walk that simulation's live data structures
+// mid-run, so a lock could not make cross-thread use safe anyway).
+// SingleOwner documents and — in audit builds — enforces that, exactly like
+// the Simulator itself.
 class AuditRegistry {
  public:
   AuditRegistry() = default;

@@ -1,5 +1,5 @@
-// Annotated synchronization primitives for state the parallel (PDES)
-// engine will share across shards.
+// Annotated synchronization primitives for state shared across threads
+// when RunSet (sim/parallel.h) runs whole simulations concurrently.
 //
 //  * Mutex / MutexLock — std::mutex wrapped with the clang thread-safety
 //    capability annotations, so `STELLAR_GUARDED_BY(mu_)` members are
@@ -8,13 +8,13 @@
 //    threads in the threaded TSan smoke.
 //
 //  * SingleOwner — a *virtual* capability for state that is deliberately
-//    NOT locked: one shard (today: the one simulation thread) owns it
+//    NOT locked: one thread (the simulation's RunSet worker) owns it
 //    outright. `assert_held()` tells the static analysis the capability is
 //    held, and in audit builds additionally enforces the discipline at
 //    runtime: the first thread to touch the object claims it, and any
 //    access from another thread aborts with a diagnostic. This is how the
 //    Simulator, AuditRegistry, FaultInjector and FaultTelemetry document
-//    "shard-local, no locks" in a way TSan and -Wthread-safety can check.
+//    "thread-local, no locks" in a way TSan and -Wthread-safety can check.
 //
 // This header sits in src/common and must not depend on src/check, so the
 // runtime tripwire reports via fprintf+abort rather than STELLAR_CHECK.
@@ -62,7 +62,7 @@ class STELLAR_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// Virtual capability: exactly one thread (shard) may touch the guarded
+/// Virtual capability: exactly one thread may touch the guarded
 /// state, and it never blocks — there is no lock to take. Annotate members
 /// with STELLAR_GUARDED_BY(owner_), private helpers with
 /// STELLAR_REQUIRES(owner_), and open every public entry point with
@@ -98,8 +98,8 @@ class STELLAR_CAPABILITY("single-owner") SingleOwner {
 #endif
   }
 
-  /// Explicit ownership hand-off (e.g. live migration moving a shard to a
-  /// new worker): the current owner renounces, the next toucher claims.
+  /// Explicit ownership hand-off (e.g. moving a simulation to a new
+  /// worker): the current owner renounces, the next toucher claims.
   void release() const STELLAR_RELEASE() {
 #if STELLAR_AUDIT_ENABLED
     owner_.store(std::thread::id{}, std::memory_order_release);

@@ -7,10 +7,10 @@
 // every macro expands to nothing, so annotations are free to apply
 // everywhere.
 //
-// Today the engine is single-threaded; the annotations document which
-// state the planned parallel (PDES) engine will share across shards and
-// under which capability — so the locking discipline is machine-checked
-// *before* the parallel scheduler lands, not debugged after a flaky soak.
+// Each simulation is single-threaded, but RunSet (sim/parallel.h) runs
+// whole simulations concurrently in one process. The annotations document
+// which state those runs share and under which capability, so the locking
+// discipline is machine-checked rather than debugged after a flaky soak.
 // docs/STATIC_ANALYSIS.md covers the conventions; src/common/mutex.h has
 // the annotated Mutex / MutexLock / SingleOwner capability types.
 #pragma once

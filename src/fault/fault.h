@@ -119,7 +119,7 @@ struct FaultPlan {
   std::vector<FaultEvent> events;
 };
 
-// Shard-safety contract: a FaultInjector manipulates its shard's live
+// Thread-safety contract: a FaultInjector manipulates its simulation's live
 // fabric/engine state from scheduled events, so it is SingleOwner — owned
 // by the thread driving the simulator, never locked.
 class FaultInjector {

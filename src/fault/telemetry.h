@@ -28,9 +28,9 @@
 
 namespace stellar {
 
-// Shard-safety contract: SingleOwner, like the FaultInjector feeding it —
+// Thread-safety contract: SingleOwner, like the FaultInjector feeding it —
 // samples and fault marks are appended from simulator events on the owning
-// shard's thread, and analyze()/to_json() run there after the drain.
+// simulation's thread, and analyze()/to_json() run there after the drain.
 class FaultTelemetry {
  public:
   struct FaultRecord {

@@ -15,11 +15,12 @@
 //    floating-point formatting is ever emitted;
 //  - nothing here reads wall-clock time.
 //
-// Shard-safety (PDES readiness): counter/gauge updates are relaxed atomics
-// and the name->series maps are guarded by an internal Mutex, so shards may
+// Thread safety: counter/gauge updates are relaxed atomics and the
+// name->series maps are guarded by an internal Mutex, so worker threads may
 // bump shared series concurrently (tests/tsan_smoke_test.cc runs this under
-// TSan). Histograms stay shard-local by convention: record() is NOT
-// thread-safe and concurrent recording must go through per-shard series.
+// TSan). Histograms stay thread-local by convention: record() is NOT
+// thread-safe and concurrent recording must go through per-run series
+// (obs/run_capture.h).
 #pragma once
 
 #include <algorithm>
@@ -37,8 +38,8 @@
 namespace stellar::obs {
 
 /// Monotonically non-decreasing event count. Updates are relaxed atomics:
-/// safe from any shard, and exactly as cheap as a plain add when only one
-/// thread exists (the whole single-threaded engine today).
+/// safe from any thread, and exactly as cheap as a plain add when only one
+/// thread exists (a --threads=1 run).
 class Counter {
  public:
   void add(std::uint64_t delta = 1) {
@@ -169,7 +170,7 @@ class LogHistogram {
 /// stable), so hot paths may cache them.
 ///
 /// Thread-safety: registration (the map mutations) is serialized on mu_;
-/// cached Counter/Gauge references are safe to bump from any shard (atomic
+/// cached Counter/Gauge references are safe to bump from any thread (atomic
 /// updates). The visitors and dumps also hold mu_ — do not re-enter the
 /// same registry from inside a visitor.
 class MetricsRegistry {

@@ -5,14 +5,14 @@
 namespace stellar::obs {
 
 namespace {
-// Atomic so worker threads (TSan smoke; future PDES shards) can read the
+// Atomic so worker threads (TSan smoke; RunSet jobs) can read the
 // installed hub while another thread installs/uninstalls one. Release on
 // install pairs with acquire on read, so a thread that sees the pointer
 // also sees the fully constructed hub behind it.
 std::atomic<ObsHub*> g_hub{nullptr};
 
 // Per-thread override for RunSet per-run capture. thread_local: each
-// worker sees only its own slot, so this is shard-private, not shared.
+// worker sees only its own slot, so this is worker-private, not shared.
 thread_local ObsHub* tl_hub = nullptr;
 }  // namespace
 

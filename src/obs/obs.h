@@ -61,12 +61,12 @@ class ObsHub {
   void detach_periodic();
 
  private:
-  // Runs as a simulator event, i.e. on the owning shard's thread; it
+  // Runs as a simulator event, i.e. on the simulation's thread; it
   // asserts ownership itself rather than REQUIRES so the scheduling lambda
   // needs no annotation.
   void fire_periodic();
 
-  // Shard-safety contract: metrics_ and tracer_ are internally synchronized
+  // Thread-safety contract: metrics_ and tracer_ are internally synchronized
   // (atomic counters / Mutex) and safe to probe from any thread. The
   // periodic-sampler state below belongs to the thread driving the
   // simulator — it is SingleOwner like the Simulator itself, not locked.

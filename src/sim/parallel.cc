@@ -9,231 +9,10 @@ namespace stellar {
 
 namespace {
 // Worker slot for the innermost RunSet job on this thread. thread_local by
-// design: each worker sees only its own slot, so this is shard-private
-// state, not shared engine state.
+// design: each worker sees only its own slot, so this is worker-private
+// state, not shared state.
 thread_local int tl_run_worker = -1;
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// ShardedEngine
-// ---------------------------------------------------------------------------
-
-ShardedEngine::ShardedEngine(const PdesConfig& cfg)
-    : threads_(cfg.threads == 0 ? 1 : cfg.threads),
-      lookahead_ps_(cfg.lookahead.ps()) {
-  STELLAR_CHECK(cfg.shards >= 1 && cfg.shards <= kMaxShards,
-                "shard count %u outside [1, %u]", cfg.shards, kMaxShards);
-  STELLAR_CHECK(lookahead_ps_ > 0,
-                "conservative PDES needs strictly positive lookahead");
-  shards_.reserve(cfg.shards);
-  for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-    auto sh = std::make_unique<Shard>();
-    sh->in.reserve(cfg.shards);
-    for (std::uint32_t src = 0; src < cfg.shards; ++src) {
-      sh->in.push_back(std::make_unique<SpscChannel<RemoteEvent>>());
-    }
-    shards_.push_back(std::move(sh));
-  }
-}
-
-ShardedEngine::~ShardedEngine() = default;
-
-void ShardedEngine::post(std::uint32_t from, std::uint32_t to, SimTime at,
-                         Simulator::Action action) {
-  STELLAR_CHECK(from < shards() && to < shards(),
-                "post between unknown shards %u -> %u", from, to);
-  Shard& src = *shards_[from];
-  STELLAR_CHECK(at.ps() >= src.sim.now().ps() + lookahead_ps_,
-                "handoff at %lld ps violates lookahead (now %lld + L %lld)",
-                static_cast<long long>(at.ps()),
-                static_cast<long long>(src.sim.now().ps()),
-                static_cast<long long>(lookahead_ps_));
-  // (src_seq, src_shard) is allocated in the sender's deterministic event
-  // order; the receiver's merge key never depends on drain timing.
-  STELLAR_CHECK(
-      src.next_src_seq <
-          (std::uint64_t{1} << (Simulator::kRemoteStampBits - kShardIdBits)),
-      "remote stamp space exhausted on shard %u", from);
-  const std::uint64_t stamp = src.next_src_seq++ << kShardIdBits | from;
-  // in_flight_ rises before the push and falls only after the receiver has
-  // folded the event into its wheel, so in_flight_ == 0 proves every
-  // channel is empty — the termination test relies on that.
-  in_flight_.fetch_add(1, std::memory_order_seq_cst);
-  // seq_cst, and ordered before the push: the all-idle termination path
-  // compares posted_ snapshots across its clock/idle scan, so a post whose
-  // in_flight_ bump was already consumed by a drain must still be visible
-  // through the counter.
-  posted_.fetch_add(1, std::memory_order_seq_cst);
-  shards_[to]->in[from]->push(RemoteEvent{at.ps(), stamp, std::move(action)});
-}
-
-bool ShardedEngine::drain_inbound(Shard& sh) {
-  std::uint64_t got = 0;
-  for (auto& chan : sh.in) {
-    RemoteEvent ev;
-    while (chan->try_pop(ev)) {
-      sh.sim.schedule_remote(SimTime::picos(ev.at_ps), ev.stamp,
-                             std::move(ev.action));
-      ++got;
-    }
-  }
-  if (got != 0) {
-    sh.drained += got;
-    // idle must read false before in_flight_ can read zero for these
-    // events, or the early-termination scan could miss pending work.
-    sh.idle.store(false, std::memory_order_seq_cst);
-    in_flight_.fetch_sub(got, std::memory_order_seq_cst);
-  }
-  return got != 0;
-}
-
-void ShardedEngine::drive(std::uint32_t worker, std::uint32_t worker_count,
-                          std::int64_t deadline_ps) {
-  const std::uint32_t n = shards();
-  for (;;) {
-    bool progressed = false;
-    for (std::uint32_t s = worker; s < n; s += worker_count) {
-      Shard& sh = *shards_[s];
-      // Horizon first, drain second: any message still invisible after
-      // the clock reads comes from an event later than the clock we saw,
-      // so it lands beyond h by the lookahead bound.
-      std::int64_t h = deadline_ps;
-      for (std::uint32_t p = 0; p < n; ++p) {
-        if (p == s) continue;
-        const std::int64_t cp =
-            shards_[p]->clock_ps.load(std::memory_order_acquire);
-        if (cp + lookahead_ps_ < h) h = cp + lookahead_ps_;
-      }
-      if (drain_inbound(sh)) progressed = true;
-      if (h > sh.clock_ps.load(std::memory_order_relaxed)) {
-        sh.sim.run_until(SimTime::picos(h));
-        sh.idle.store(sh.sim.empty(), std::memory_order_seq_cst);
-        sh.clock_ps.store(h, std::memory_order_release);
-        windows_.fetch_add(1, std::memory_order_relaxed);
-        progressed = true;
-      }
-    }
-    if (!stop_.load(std::memory_order_acquire)) {
-      // Double-checked termination detection. The scan below is racy on
-      // its own: a peer can post a handoff while we walk the clocks and
-      // idle flags (a sender posting in its final window before its
-      // release-store of clock = deadline, or a chained handoff flipping
-      // a shard non-idle after we already read its flag as true), leaving
-      // an undrained event in a channel at shutdown. So snapshot posted_
-      // first, scan, then re-verify before setting stop_.
-      const std::uint64_t posted_before =
-          posted_.load(std::memory_order_seq_cst);
-      if (in_flight_.load(std::memory_order_seq_cst) == 0) {
-        bool at_deadline = true;
-        bool all_idle = true;
-        for (std::uint32_t p = 0; p < n; ++p) {
-          if (shards_[p]->clock_ps.load(std::memory_order_acquire) !=
-              deadline_ps) {
-            at_deadline = false;
-          }
-          if (!shards_[p]->idle.load(std::memory_order_seq_cst)) {
-            all_idle = false;
-          }
-        }
-        // at_deadline is stable once re-confirmed: clocks only grow, every
-        // wheel has executed through the deadline so nothing can post
-        // anymore, and a post raced against a sender's final clock store
-        // is visible to the in_flight_ re-read through that store's
-        // release/acquire edge. all_idle additionally requires posted_
-        // unchanged across the scan: an idle flag we read as true can go
-        // stale through a chained handoff, but every such chain starts
-        // with a post, which the snapshot comparison catches.
-        if ((at_deadline || all_idle) &&
-            in_flight_.load(std::memory_order_seq_cst) == 0 &&
-            (at_deadline ||
-             posted_.load(std::memory_order_seq_cst) == posted_before)) {
-          stop_.store(true, std::memory_order_release);
-        }
-      }
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (!progressed) std::this_thread::yield();
-  }
-  for (std::uint32_t s = worker; s < n; s += worker_count) {
-    shards_[s]->sim.release_owner();
-  }
-}
-
-std::uint64_t ShardedEngine::run_until(SimTime deadline) {
-  const std::int64_t deadline_ps = deadline.ps();
-  running_.store(true, std::memory_order_release);
-  std::uint64_t executed_before = 0;
-  for (auto& sh : shards_) {
-    STELLAR_CHECK(deadline_ps >= sh->clock_ps.load(std::memory_order_relaxed),
-                  "ShardedEngine::run_until deadlines must be monotone");
-    executed_before += sh->sim.executed_events();
-    sh->idle.store(sh->sim.empty(), std::memory_order_relaxed);
-    // Hand every shard from the calling thread to whichever worker
-    // reaches it first.
-    sh->sim.release_owner();
-  }
-  stop_.store(false, std::memory_order_release);
-
-  const std::uint32_t n = shards();
-  const std::uint32_t workers = threads_ < n ? threads_ : n;
-  if (workers <= 1) {
-    drive(0, 1, deadline_ps);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::uint32_t w = 1; w < workers; ++w) {
-      pool.emplace_back([this, w, workers, deadline_ps] {
-        drive(w, workers, deadline_ps);
-      });
-    }
-    drive(0, workers, deadline_ps);
-    for (auto& t : pool) t.join();
-  }
-
-  // Merged barrier: park early-terminated shards at the deadline so the
-  // final state (now(), clocks) is identical for every thread count, then
-  // leave ownership free for auditors/emitters on the calling thread.
-  std::uint64_t executed_after = 0;
-  for (auto& sh : shards_) {
-    if (sh->clock_ps.load(std::memory_order_relaxed) != deadline_ps) {
-      sh->sim.run_until(deadline);
-      sh->clock_ps.store(deadline_ps, std::memory_order_relaxed);
-      sh->sim.release_owner();
-    }
-    executed_after += sh->sim.executed_events();
-  }
-  STELLAR_CHECK(in_flight_.load(std::memory_order_seq_cst) == 0,
-                "handoffs still in flight at the merged barrier");
-  running_.store(false, std::memory_order_release);
-  return executed_after - executed_before;
-}
-
-void ShardedEngine::assert_quiescent() const {
-  STELLAR_CHECK(!running_.load(std::memory_order_acquire),
-                "ShardedEngine counters may only be read at a merged "
-                "barrier, not while run_until is in flight");
-}
-
-std::uint64_t ShardedEngine::executed_events() const {
-  assert_quiescent();
-  std::uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->sim.executed_events();
-  return total;
-}
-
-ShardedEngine::EngineStats ShardedEngine::stats() const {
-  assert_quiescent();
-  EngineStats st;
-  st.posted = posted_.load(std::memory_order_relaxed);
-  st.in_flight = in_flight_.load(std::memory_order_relaxed);
-  st.windows = windows_.load(std::memory_order_relaxed);
-  for (const auto& sh : shards_) st.drained += sh->drained;
-  return st;
-}
-
-// ---------------------------------------------------------------------------
-// RunSet
-// ---------------------------------------------------------------------------
 
 std::size_t RunSet::add(Job job) {
   STELLAR_CHECK(!executed_, "RunSet is single-use; add before execute()");

@@ -1,168 +1,22 @@
-// Parallel event engine: sharded conservative PDES over the timing wheel.
+// Run-level parallelism: whole independent simulations on worker threads.
 //
-// A ShardedEngine owns N shards, each a private Simulator (its own timing
-// wheel, event pool and SingleOwner capability) plus the model state homed
-// on it. Shards run on worker threads under conservative synchronization:
-//
-//  * Lookahead L. Every cross-shard dependency is a handoff posted at
-//    least L after the sending event (for the fabric, L = the minimum
-//    propagation delay of any cross-shard link — see
-//    net/fabric_partition.h). L is the engine's only physics input.
-//
-//  * Clocks. Each shard publishes an atomic clock C_s = "I have executed
-//    every event at or before C_s" (release store after run_until, so all
-//    channel pushes made by those events are visible to an acquire
-//    reader).
-//
-//  * Windows, barrier-free. A shard's safe horizon is
-//    h = min(deadline, min_{p != s} C_p + L): any event a peer could still
-//    send lands strictly after h, so the shard drains its inbound
-//    channels and runs its wheel to h without ever blocking on a barrier.
-//    Shards advance independently; the slowest peer only caps the
-//    horizon, it never forces a stop-the-world.
-//
-//  * Handoffs. post(from, to, at, action) stamps the event with a
-//    sender-allocated (src_seq, src_shard) and sends it through the
-//    directed SPSC channel (sim/spsc.h). The receiver folds it into its
-//    wheel as a remote-tier event (Simulator::schedule_remote), which may
-//    rewind a parked cursor if the handoff lands behind it.
-//
-// Deterministic merge rule: every shard executes in (at_ps, seq) order,
-// where local events carry shard-allocated seqs below 2^39 and inbound
-// handoffs carry 2^39 | (src_seq << 5 | src_shard). Both allocations are
-// functions of the workload alone — never of thread placement or channel
-// drain timing — so the global execution order reconstructed across
-// shards (and therefore every emitter: BENCH JSON, traces, metrics, audit
-// walks) is byte-identical for any --threads=N, with --threads=1 as the
-// reference. tools/ci_checks.sh gates on exactly that.
-//
-// Liveness: the shard holding the minimum clock always has
-// h >= C_min + L > C_min, so some shard can always advance; termination
-// is all clocks at the deadline with no handoff in flight (or every shard
-// simultaneously idle with empty channels, which ends the run early).
-// Detection is double-checked: in_flight_ is re-verified after the
-// clock/idle scan (and the all-idle path also requires the posted-handoff
-// counter unchanged across the scan), so a handoff posted mid-scan can
-// never be stranded in a channel by a premature stop.
-//
-// RunSet (below) is the second sharding axis: whole *independent runs*
-// (fig-bench sweep points) distributed across workers with
-// index-deterministic placement, so emitters that buffer per-run and
-// print in index order are byte-identical by construction.
+// Every fig bench's --threads=N runs its sweep points (one Simulator each)
+// through a RunSet. Placement is index-deterministic, so emitters that
+// buffer per run and print in index order are byte-identical for any
+// thread count, with --threads=1 as the reference. tools/ci_checks.sh
+// gates on exactly that. core/run_shard.h adds per-run observability
+// capture on top (ShardedRunSet).
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/units.h"
 #include "sim/inline_action.h"
-#include "sim/simulator.h"
-#include "sim/spsc.h"
 
 namespace stellar {
 
-struct PdesConfig {
-  std::uint32_t shards = 1;   // <= ShardedEngine::kMaxShards
-  std::uint32_t threads = 1;  // worker threads; 1 runs inline on the caller
-  /// Conservative lookahead: a handoff posted by an event at t must carry
-  /// at >= t + lookahead. Larger values mean fewer, fatter windows.
-  SimTime lookahead = SimTime::nanos(600);
-};
-
-class ShardedEngine {
- public:
-  /// Shard ids ride in the low 5 bits of every remote stamp.
-  static constexpr std::uint32_t kMaxShards = 32;
-  static constexpr unsigned kShardIdBits = 5;
-
-  explicit ShardedEngine(const PdesConfig& cfg);
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
-  ~ShardedEngine();
-
-  std::uint32_t shards() const { return static_cast<std::uint32_t>(shards_.size()); }
-  std::uint32_t threads() const { return threads_; }
-  SimTime lookahead() const { return SimTime::picos(lookahead_ps_); }
-
-  Simulator& shard(std::uint32_t s) { return shards_[s]->sim; }
-  const Simulator& shard(std::uint32_t s) const { return shards_[s]->sim; }
-
-  /// Cross-shard handoff. Must be called from shard `from`'s owning
-  /// thread (typically from inside one of its executing events); `at`
-  /// must be at least lookahead past shard `from`'s current time.
-  void post(std::uint32_t from, std::uint32_t to, SimTime at,
-            Simulator::Action action);
-
-  /// Drive all shards conservatively until `deadline` (inclusive; must be
-  /// monotone across calls). Spawns workers when threads > 1, otherwise
-  /// runs the same protocol round-robin on the calling thread. On return
-  /// every shard is quiescent at now() == deadline (or globally drained)
-  /// with ownership released, so auditors and emitters on the calling
-  /// thread may walk them — this is the merged barrier. Returns the
-  /// number of events executed by this call across all shards.
-  std::uint64_t run_until(SimTime deadline);
-
-  std::uint64_t executed_events() const;                 // aggregate
-  std::uint64_t shard_executed(std::uint32_t s) const {  // per shard
-    assert_quiescent();
-    return shards_[s]->sim.executed_events();
-  }
-
-  /// Handoff accounting for the merged-barrier auditor: at a barrier
-  /// every posted handoff has been drained into its target wheel.
-  struct EngineStats {
-    std::uint64_t posted = 0;
-    std::uint64_t drained = 0;
-    std::uint64_t in_flight = 0;
-    std::uint64_t windows = 0;  // run_until windows driven (diagnostic
-                                // only: varies with thread placement)
-  };
-  EngineStats stats() const;
-
- private:
-  struct RemoteEvent {
-    std::int64_t at_ps = 0;
-    std::uint64_t stamp = 0;
-    InlineAction action;
-  };
-
-  struct alignas(64) Shard {
-    Simulator sim;
-    /// "Every event at or before clock_ps has executed here."
-    std::atomic<std::int64_t> clock_ps{0};
-    /// True when the shard's wheel was empty after its last window (and
-    /// nothing has been drained into it since). Drives early termination.
-    std::atomic<bool> idle{true};
-    // Worker-owned (never touched cross-thread while running):
-    std::uint64_t next_src_seq = 0;  // remote-stamp allocator
-    std::uint64_t drained = 0;
-    std::vector<std::unique_ptr<SpscChannel<RemoteEvent>>> in;  // [sender]
-  };
-
-  /// Worker `w` drives shards s where s % worker_count == w.
-  void drive(std::uint32_t worker, std::uint32_t worker_count,
-             std::int64_t deadline_ps);
-  bool drain_inbound(Shard& sh);
-  /// executed_events()/shard_executed()/stats() sum plain per-shard
-  /// counters that worker threads own while run_until is in flight —
-  /// checks that the caller is at a merged barrier.
-  void assert_quiescent() const;
-
-  std::uint32_t threads_;
-  std::int64_t lookahead_ps_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> in_flight_{0};
-  std::atomic<std::uint64_t> posted_{0};
-  std::atomic<std::uint64_t> windows_{0};
-  std::atomic<bool> stop_{false};
-  /// True from run_until entry to the merged barrier.
-  std::atomic<bool> running_{false};
-};
-
-/// Deterministic executor for independent run-jobs (the second sharding
-/// axis: whole fig-bench runs instead of fabric regions). Job i is
+/// Deterministic executor for independent run-jobs. Job i is
 /// assigned to worker (i % threads) and every worker executes its jobs in
 /// ascending index order, so each job sees an identical schedule for any
 /// thread count. Jobs must be mutually independent and write results into

@@ -1,7 +1,7 @@
 // Fixture: shard-shared — mutable file-scope/static state in the
-// shard-homed modules (src/sim, src/net, src/core). The parallel engine
-// (sim/parallel.h) runs shards on concurrent worker threads, so any
-// mutable static is both a data race and a cross-shard determinism leak.
+// simulation modules (src/sim, src/net, src/core). RunSet (sim/parallel.h)
+// runs whole simulations on concurrent worker threads, so any mutable
+// static is both a data race and a cross-run determinism leak.
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -19,7 +19,7 @@ static constexpr int kTableSize = 32;      // static constexpr: fine
 static const char* const kName = "shard";  // static const: fine
 static_assert(kTableSize > 0, "sanity");   // not state at all
 
-// thread_local is shard-private by construction (one worker per shard).
+// thread_local is worker-private by construction (one run per worker).
 thread_local int tl_scratch = 0;
 
 // stellar-lint: allow(shard-shared) fixture: justified process-global

@@ -15,8 +15,19 @@
 
 #include "check/audit.h"
 #include "check/auditors.h"
+#include "check/check.h"
 #include "collective/traffic.h"
 #include "sim/simulator.h"
+
+namespace stellar {
+
+struct SimulatorTestPeer {
+  static void set_next_seq(Simulator& sim, std::uint64_t seq) {
+    sim.next_seq_ = seq;
+  }
+};
+
+}  // namespace stellar
 
 using namespace stellar;
 
@@ -250,54 +261,29 @@ TEST(SimSchedulerStressTest, SchedulingEarlierThanParkedCursorRewinds) {
   EXPECT_EQ(sim.now(), SimTime::millis(1));
 }
 
-TEST(SimSchedulerStressTest, RemoteHandoffBehindParkedCursorRewinds) {
-  // Regression: a cross-shard handoff (remote-tier stamp, sim/parallel.h)
-  // that lands *behind* a parked wheel cursor must rewind it exactly like
-  // a local schedule does. Before schedule_remote shared the rewind path,
-  // an inbound handoff could fire after later-timestamped local events.
-  Simulator sim;
-  std::vector<int> fired;
-  sim.schedule_at(SimTime::millis(1), [&] { fired.push_back(4); });
-  // run_until parks the cursor on the far slot it peeked at...
-  sim.run_until(SimTime::micros(500));
-  EXPECT_TRUE(fired.empty());
-  // ...then an inbound handoff lands behind it. Stamps are sender-side
-  // (src_seq << kShardIdBits | src_shard) values as ShardedEngine::post
-  // allocates them.
-  sim.schedule_remote(SimTime::micros(600), (7ull << 5) | 1,
-                      [&] { fired.push_back(2); });
-  // A second handoff with a smaller sender stamp at the same instant must
-  // fire first, regardless of arming order...
-  sim.schedule_remote(SimTime::micros(600), (3ull << 5) | 2,
-                      [&] { fired.push_back(1); });
-  // ...and a later handoff sorts by time as usual.
-  sim.schedule_remote(SimTime::micros(700), (1ull << 5) | 0,
-                      [&] { fired.push_back(3); });
-  sim.run();
-  ASSERT_EQ(fired.size(), 4u);
-  EXPECT_EQ(fired[0], 1);
-  EXPECT_EQ(fired[1], 2);
-  EXPECT_EQ(fired[2], 3);
-  EXPECT_EQ(fired[3], 4);
-  EXPECT_EQ(sim.now(), SimTime::millis(1));
-}
-
-TEST(SimSchedulerStressTest, LocalEventsSortBeforeRemoteAtEqualTime) {
-  // The merge rule's tie-break: local seqs live below 2^kRemoteStampBits,
-  // remote stamps above — at an equal timestamp every local event fires
-  // before any inbound handoff, independent of arming order.
+TEST(SimSchedulerStressTest, SeqSpaceUsesTheFullKeyField) {
+  // Entry keys pack seq << kIdxBits | record-index, so seqs own the top
+  // 64 - kIdxBits = 40 bits. Scheduling must work up to the last seq that
+  // fits and trap (not wrap into the index bits) at 2^40.
+  constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 40;
   Simulator sim;
   const SimTime at = SimTime::micros(10);
   std::vector<int> fired;
-  sim.schedule_remote(at, /*stamp=*/0, [&] { fired.push_back(2); });
-  sim.schedule_at(at, [&] { fired.push_back(1); });
-  sim.schedule_remote(at, /*stamp=*/(1ull << 5) | 3,
-                      [&] { fired.push_back(3); });
+  const std::uint64_t low = sim.reserve_seq();
+  SimulatorTestPeer::set_next_seq(sim, kSeqLimit - 2);
+  sim.schedule_at(at, [&] { fired.push_back(2); });
+  sim.schedule_at(at, [&] { fired.push_back(3); });  // seq 2^40 - 1
+  // A low reserved seq still sorts first at the same instant.
+  sim.schedule_at_seq(at, low, [&] { fired.push_back(1); });
+
+  auto prev = set_check_fail_handler([](const CheckFailure& f) { throw f; });
+  EXPECT_THROW(sim.schedule_at(at, [&] { fired.push_back(4); }),
+               CheckFailure);
+  set_check_fail_handler(std::move(prev));
+
+  EXPECT_EQ(sim.pending_events(), 3u);
   sim.run();
-  ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[0], 1);
-  EXPECT_EQ(fired[1], 2);
-  EXPECT_EQ(fired[2], 3);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SimSchedulerStressTest, ReentrantSchedulingFromActionsKeepsOrder) {

@@ -1,279 +1,17 @@
-// Parallel engine tests: sharded conservative PDES (sim/parallel.h).
-//
-// The contract under test is the deterministic merge rule — a sharded
-// workload executes byte-identically for every thread count, with
-// --threads=1 as the reference — plus the conservative-protocol edges:
-// lookahead enforcement, handoff conservation at merged barriers, sliced
-// vs single-deadline equivalence, the fabric partitioning rule, and the
-// index-deterministic RunSet placement the fig benches shard runs with.
+// Run-level parallelism tests: RunSet (sim/parallel.h), the
+// index-deterministic executor every fig bench's --threads=N shards its
+// independent runs with.
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <deque>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "check/audit.h"
-#include "check/auditors.h"
-#include "check/check.h"
-#include "net/fabric_partition.h"
 #include "sim/parallel.h"
-#include "sim/simulator.h"
 
 using namespace stellar;
 
 namespace {
-
-/// Deterministic 64-bit mixer (splitmix64) for workload "randomness".
-std::uint64_t mix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-// ---------------------------------------------------------------------------
-// A synthetic PDES workload: per-shard self-rescheduling actors that hand
-// events to the next shard every third firing. Every trace word is a pure
-// function of the workload (times, actor RNG streams), so comparing the
-// per-shard trace vectors across thread counts is an exact byte-identity
-// check on the merge rule.
-// ---------------------------------------------------------------------------
-
-struct PdesWorld {
-  PdesWorld(std::uint32_t shards, std::uint32_t threads)
-      : eng(make_config(shards, threads)), trace(shards) {}
-
-  static PdesConfig make_config(std::uint32_t shards,
-                                    std::uint32_t threads) {
-    PdesConfig cfg;
-    cfg.shards = shards;
-    cfg.threads = threads;
-    cfg.lookahead = SimTime::nanos(600);
-    return cfg;
-  }
-
-  struct Actor {
-    PdesWorld* w = nullptr;
-    std::uint32_t shard = 0;
-    std::uint64_t rng = 0;
-    std::uint32_t left = 0;
-  };
-
-  void seed(int actors_per_shard, std::uint32_t rounds) {
-    for (std::uint32_t s = 0; s < eng.shards(); ++s) {
-      for (int i = 0; i < actors_per_shard; ++i) {
-        actors.push_back(
-            {this, s, 0x9e3779b9ull * (s * 131 + i + 1), rounds});
-        Actor* a = &actors.back();
-        eng.shard(s).schedule_at(SimTime::nanos(1 + i),
-                                 [a] { a->w->fire(a); });
-      }
-    }
-  }
-
-  void fire(Actor* a) {
-    Simulator& sim = eng.shard(a->shard);
-    trace[a->shard].push_back(static_cast<std::uint64_t>(sim.now().ps()));
-    trace[a->shard].push_back(a->rng);
-    if (a->left == 0) return;
-    --a->left;
-    const std::uint64_t r = mix64(a->rng);
-    if (r % 3 == 0) {
-      const std::uint32_t to = (a->shard + 1) % eng.shards();
-      const std::uint64_t tag = r;
-      PdesWorld* w = this;
-      // Handoff: lands on the neighbour shard at >= now + lookahead, logs
-      // there, and spawns one local follow-up event on the target wheel.
-      eng.post(a->shard, to,
-               sim.now() + eng.lookahead() + SimTime::nanos(r % 500),
-               [w, to, tag] {
-                 Simulator& dst = w->eng.shard(to);
-                 w->trace[to].push_back(
-                     static_cast<std::uint64_t>(dst.now().ps()) ^ tag);
-                 dst.schedule_after(SimTime::nanos(1 + tag % 97),
-                                    [w, to, tag] {
-                                      w->trace[to].push_back(tag * 3);
-                                    });
-               });
-    }
-    Actor* self = a;
-    sim.schedule_after(SimTime::nanos(1 + mix64(a->rng) % 900),
-                       [self] { self->w->fire(self); });
-  }
-
-  ShardedEngine eng;
-  std::vector<std::vector<std::uint64_t>> trace;  // [shard], shard-private
-  std::deque<Actor> actors;                       // stable addresses
-};
-
-struct PdesResult {
-  std::vector<std::vector<std::uint64_t>> trace;
-  std::vector<std::uint64_t> executed;
-  std::uint64_t total = 0;
-  ShardedEngine::EngineStats stats;
-};
-
-constexpr std::int64_t kDeadlinePs = SimTime::micros(200).ps();
-
-PdesResult run_pdes(std::uint32_t shards, std::uint32_t threads,
-                    int slices = 1) {
-  PdesWorld w(shards, threads);
-  w.seed(/*actors_per_shard=*/16, /*rounds=*/40);
-  for (int i = 1; i <= slices; ++i) {
-    w.eng.run_until(SimTime::picos(kDeadlinePs * i / slices));
-  }
-  PdesResult out;
-  out.trace = w.trace;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    out.executed.push_back(w.eng.shard_executed(s));
-    EXPECT_EQ(w.eng.shard(s).now().ps(), kDeadlinePs)
-        << "shard " << s << " not parked at the deadline";
-  }
-  out.total = w.eng.executed_events();
-  out.stats = w.eng.stats();
-  return out;
-}
-
-TEST(ShardedEngineTest, DeterministicAcrossThreadCounts) {
-  const PdesResult t1 = run_pdes(4, 1);  // single-threaded reference
-  const PdesResult t2 = run_pdes(4, 2);
-  const PdesResult t4 = run_pdes(4, 4);
-
-  EXPECT_GT(t1.total, 2000u) << "workload too small to be meaningful";
-  EXPECT_GT(t1.stats.posted, 100u) << "too few cross-shard handoffs";
-
-  for (const PdesResult* r : {&t2, &t4}) {
-    EXPECT_EQ(t1.trace, r->trace);
-    EXPECT_EQ(t1.executed, r->executed);
-    EXPECT_EQ(t1.total, r->total);
-    EXPECT_EQ(t1.stats.posted, r->stats.posted);
-    EXPECT_EQ(t1.stats.drained, r->stats.drained);
-    EXPECT_EQ(r->stats.in_flight, 0u);
-  }
-}
-
-TEST(ShardedEngineTest, DeterministicAtEnvThreadCount) {
-  // tools/ci_checks.sh runs the sim label once per engine mode:
-  // STELLAR_TEST_THREADS=1 (reference) and =4 (threaded). Whatever the
-  // mode, the workload must match the single-threaded reference exactly.
-  int threads = 4;
-  if (const char* env = std::getenv("STELLAR_TEST_THREADS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) threads = v;
-  }
-  const PdesResult ref = run_pdes(4, 1);
-  const PdesResult mode = run_pdes(4, static_cast<std::uint32_t>(threads));
-  EXPECT_EQ(ref.trace, mode.trace) << "engine mode threads=" << threads;
-  EXPECT_EQ(ref.executed, mode.executed);
-}
-
-TEST(ShardedEngineTest, SlicedDeadlinesMatchSingleDeadline) {
-  const PdesResult whole = run_pdes(4, 2, /*slices=*/1);
-  const PdesResult sliced = run_pdes(4, 2, /*slices=*/5);
-  EXPECT_EQ(whole.trace, sliced.trace);
-  EXPECT_EQ(whole.executed, sliced.executed);
-  EXPECT_EQ(whole.stats.posted, sliced.stats.posted);
-}
-
-TEST(ShardedEngineTest, MoreThreadsThanShardsClampsCleanly) {
-  const PdesResult ref = run_pdes(2, 1);
-  const PdesResult over = run_pdes(2, 8);  // workers clamp to 2 shards
-  EXPECT_EQ(ref.trace, over.trace);
-  EXPECT_EQ(ref.executed, over.executed);
-}
-
-TEST(ShardedEngineTest, LookaheadViolationTrapsCheck) {
-  PdesWorld w(2, 1);
-  auto prev = set_check_fail_handler(
-      [](const CheckFailure& f) { throw f; });
-  // at == now + lookahead - 1 ps: one tick inside the horizon a peer may
-  // already have executed past — the conservative contract is broken.
-  EXPECT_THROW(
-      w.eng.post(0, 1, w.eng.lookahead() - SimTime::picos(1), [] {}),
-      CheckFailure);
-  set_check_fail_handler(std::move(prev));
-}
-
-TEST(ShardedEngineTest, PostAtBarrierIsDeliveredNextWindow) {
-  PdesWorld w(2, 2);
-  bool fired = false;
-  // The calling thread owns every shard at a merged barrier (construction
-  // counts as one), so it may hand work to a shard directly.
-  w.eng.post(0, 1, SimTime::nanos(600), [&fired] { fired = true; });
-  const ShardedEngine::EngineStats before = w.eng.stats();
-  EXPECT_EQ(before.posted, 1u);
-  EXPECT_EQ(before.in_flight, 1u);
-  w.eng.run_until(SimTime::micros(1));
-  EXPECT_TRUE(fired);
-  const ShardedEngine::EngineStats after = w.eng.stats();
-  EXPECT_EQ(after.drained, 1u);
-  EXPECT_EQ(after.in_flight, 0u);
-  EXPECT_EQ(w.eng.shard_executed(1), 1u);
-}
-
-TEST(ShardedEngineTest, AuditorCleanAtMergedBarrier) {
-  PdesWorld w(4, 4);
-  w.seed(8, 20);
-  w.eng.run_until(SimTime::micros(100));
-  ShardedEngineAuditor auditor(w.eng);
-  AuditReport report;
-  auditor.audit(report);
-  EXPECT_TRUE(report.clean()) << report.to_string();
-  EXPECT_GT(report.checks_performed(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Fabric partitioning rule (net/fabric_partition.h): a pure function of the
-// geometry — never of thread count or load.
-// ---------------------------------------------------------------------------
-
-TEST(FabricPartitionTest, RegionHomingIsPureGeometry) {
-  FabricConfig fc;
-  fc.segments = 4;
-  fc.planes = 2;
-  fc.fabric_link.propagation = SimTime::nanos(777);
-
-  const FabricPartition part = make_fabric_partition(fc, 8);
-  EXPECT_EQ(part.shards, 8u);  // 4 segments x 2 planes = 8 regions
-  EXPECT_EQ(part.lookahead, SimTime::nanos(777));
-  std::vector<bool> hit(part.shards, false);
-  for (std::uint32_t p = 0; p < fc.planes; ++p) {
-    for (std::uint32_t s = 0; s < fc.segments; ++s) {
-      const std::uint32_t home = part.shard_of(s, p);
-      ASSERT_LT(home, part.shards);
-      hit[home] = true;
-    }
-  }
-  for (bool h : hit) EXPECT_TRUE(h) << "empty shard in a full partition";
-
-  const PdesConfig cfg = part.parallel_config(4);
-  EXPECT_EQ(cfg.shards, 8u);
-  EXPECT_EQ(cfg.threads, 4u);
-  EXPECT_EQ(cfg.lookahead, SimTime::nanos(777));
-}
-
-TEST(FabricPartitionTest, ShardBudgetClamps) {
-  FabricConfig fc;
-  fc.segments = 4;
-  fc.planes = 2;
-  EXPECT_EQ(make_fabric_partition(fc, 0).shards, 1u);
-  EXPECT_EQ(make_fabric_partition(fc, 3).shards, 3u);
-  EXPECT_EQ(make_fabric_partition(fc, 100).shards, 8u);  // region count
-
-  fc.segments = 16;
-  fc.planes = 4;  // 64 regions
-  EXPECT_EQ(make_fabric_partition(fc, 64).shards, ShardedEngine::kMaxShards);
-
-  // Folding stays total: every region lands on a valid shard.
-  const FabricPartition folded = make_fabric_partition(fc, 5);
-  for (std::uint32_t p = 0; p < fc.planes; ++p) {
-    for (std::uint32_t s = 0; s < fc.segments; ++s) {
-      EXPECT_LT(folded.shard_of(s, p), 5u);
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // RunSet: index-deterministic placement of independent run-jobs.

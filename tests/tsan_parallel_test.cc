@@ -1,17 +1,15 @@
-// Threaded parallel-engine smoke for the TSan gate.
+// Threaded run-level parallelism smoke for the TSan gate.
 //
 // tsan_smoke_test.cc certifies the obs layer's sharing pattern; this file
-// certifies the parallel engine itself (sim/parallel.h) under real worker
-// threads: a 4-shard conservative-PDES run with cross-shard handoffs, and
-// a fig09-mini sweep sharded across a ShardedRunSet with per-run obs
-// capture. Under -DSTELLAR_SANITIZE=thread (tools/ci_checks.sh) TSan
-// watches the clock publications, SPSC channel handoffs and ownership
-// transfers for real; in plain builds the tests still assert the
-// deterministic-merge contract: threaded results equal the single-threaded
-// reference exactly.
+// certifies run-level parallelism (core/run_shard.h) under real worker
+// threads: a fig09-mini sweep sharded across a ShardedRunSet with per-run
+// obs capture. Under -DSTELLAR_SANITIZE=thread (tools/ci_checks.sh) TSan
+// watches the worker hand-offs and per-run hub installs for real; in
+// plain builds the test still asserts the deterministic-merge contract:
+// threaded results equal the single-threaded reference exactly.
 //
-// tests/tsan_race_demo.cc is the control: an *unprotected* copy of the
-// shard-channel pattern that the same TSan build MUST flag.
+// tests/tsan_race_demo.cc is the control: an unprotected cross-thread
+// hand-off that the same TSan build MUST flag.
 #include <cstdint>
 #include <vector>
 
@@ -20,82 +18,10 @@
 #include "collective/traffic.h"
 #include "core/run_shard.h"
 #include "obs/obs.h"
-#include "sim/parallel.h"
 
 using namespace stellar;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// 4-shard PDES chains with cross-shard handoffs.
-// ---------------------------------------------------------------------------
-
-struct Chain {
-  ShardedEngine* eng = nullptr;
-  std::uint64_t* accs = nullptr;  // per-shard XOR accumulators
-  std::uint32_t shard = 0;
-  std::uint32_t shards = 0;
-  std::uint32_t left = 0;
-  std::uint64_t rng = 0;
-
-  void fire() {
-    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-    accs[shard] ^= rng;
-    if (left == 0) return;
-    --left;
-    Simulator& sim = eng->shard(shard);
-    if (rng % 4 == 0) {
-      const std::uint32_t to = (shard + 1) % shards;
-      std::uint64_t* dst = &accs[to];
-      const std::uint64_t tag = rng;
-      eng->post(shard, to,
-                sim.now() + eng->lookahead() + SimTime::nanos(rng % 300),
-                [dst, tag] { *dst ^= tag; });
-    }
-    Chain* self = this;
-    sim.schedule_after(SimTime::nanos(1 + rng % 500),
-                       [self] { self->fire(); });
-  }
-};
-
-std::uint64_t run_chains(std::uint32_t threads) {
-  PdesConfig cfg;
-  cfg.shards = 4;
-  cfg.threads = threads;
-  cfg.lookahead = SimTime::nanos(600);
-  ShardedEngine eng(cfg);
-  std::vector<std::uint64_t> accs(cfg.shards, 0);
-  std::vector<Chain> chains;
-  chains.reserve(cfg.shards * 8);
-  for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-    for (int i = 0; i < 8; ++i) {
-      chains.push_back(
-          {&eng, accs.data(), s, cfg.shards, 200, 0x5eedull * (s * 17 + i + 1)});
-    }
-  }
-  for (Chain& c : chains) {
-    Chain* pc = &c;
-    eng.shard(c.shard).schedule_at(SimTime::nanos(1 + c.rng % 64),
-                                   [pc] { pc->fire(); });
-  }
-  eng.run_until(SimTime::millis(1));
-
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::uint32_t s = 0; s < cfg.shards; ++s) {
-    h = (h ^ accs[s]) * 0x100000001b3ull;
-    h = (h ^ eng.shard_executed(s)) * 0x100000001b3ull;
-  }
-  const ShardedEngine::EngineStats st = eng.stats();
-  EXPECT_EQ(st.in_flight, 0u);
-  EXPECT_EQ(st.posted, st.drained);
-  EXPECT_GT(st.posted, 50u) << "too few cross-shard handoffs to smoke";
-  return h;
-}
-
-TEST(TsanParallelTest, FourShardEngineUnderWorkers) {
-  const std::uint64_t ref = run_chains(1);
-  EXPECT_EQ(run_chains(4), ref);
-}
 
 // ---------------------------------------------------------------------------
 // fig09-mini sharded across a ShardedRunSet (run-level parallelism with
@@ -152,7 +78,7 @@ TEST(TsanParallelTest, ThreadedMiniPermutationRunSet) {
       MultipathAlgo::kSinglePath, MultipathAlgo::kBestRtt};
   const auto sweep = [&algos](std::uint32_t threads) {
     std::vector<MiniResult> out(4);
-    ShardedRunSet runs(threads, out.size());
+    ShardedRunSet runs(threads);
     for (std::size_t i = 0; i < out.size(); ++i) {
       MiniResult* slot = &out[i];
       const MultipathAlgo algo = algos[i];

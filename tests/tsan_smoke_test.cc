@@ -1,13 +1,13 @@
-// Threaded shard-safety smoke for the observability layer.
+// Threaded thread-safety smoke for the observability layer.
 //
-// The PDES plan (ROADMAP open item 1) has worker shards funnelling metrics
-// and trace events into one shared ObsHub. This test drives that exact
-// sharing pattern from real std::threads so a ThreadSanitizer build
-// (-DSTELLAR_SANITIZE=thread, run by tools/ci_checks.sh) certifies the
-// synchronization for real: atomic Counter/Gauge hot paths, Mutex-serialized
-// registry map mutation, Mutex-serialized trace emission, and the atomic
-// installed-hub pointer. It also passes as a plain test in every build —
-// the assertions below hold whether or not TSan is watching.
+// Worker threads may funnel metrics and trace events into one shared
+// ObsHub. This test drives that sharing pattern from real std::threads so a
+// ThreadSanitizer build (-DSTELLAR_SANITIZE=thread, run by
+// tools/ci_checks.sh) certifies the synchronization for real: atomic
+// Counter/Gauge hot paths, Mutex-serialized registry map mutation,
+// Mutex-serialized trace emission, and the atomic installed-hub pointer.
+// It also passes as a plain test in every build — the assertions below
+// hold whether or not TSan is watching.
 //
 // tests/tsan_race_demo.cc is the control: a deliberate data race that the
 // same TSan build MUST flag (ci_checks fails if it runs clean), proving the

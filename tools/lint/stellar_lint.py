@@ -29,12 +29,12 @@ on the offending line or the line above):
                         src/ emitters: float text is locale/libc-dependent.
                         Serialize scaled integers (ps, ppm, bytes) instead.
   shard-shared          No mutable file-scope or static-storage state in the
-                        shard-homed modules (src/sim, src/net, src/core): the
-                        parallel engine (sim/parallel.h) runs shards on
-                        concurrent workers, so a mutable static is a data
-                        race *and* a determinism leak between shards.
-                        const/constexpr and thread_local (shard-private by
-                        construction) are exempt.
+                        simulation modules (src/sim, src/net, src/core):
+                        RunSet (sim/parallel.h) runs whole simulations on
+                        concurrent workers in one process, so a mutable
+                        static is a data race *and* a determinism leak
+                        between runs. const/constexpr and thread_local
+                        (worker-private by construction) are exempt.
   layering              #includes must follow the declared module DAG below
                         (e.g. src/sim must not include src/net).
 
@@ -133,8 +133,8 @@ FLOAT_FMT_STREAM_RE = re.compile(
 
 STD_FUNCTION_RE = re.compile(r"\bstd::function\s*<")
 
-# Modules whose state is homed on engine shards: mutable statics there are
-# cross-shard shared state (sim/parallel.h runs shards concurrently).
+# Modules whose state belongs to one simulation: mutable statics there are
+# shared between runs (RunSet in sim/parallel.h runs them concurrently).
 SHARD_SHARED_PREFIXES = ("src/sim/", "src/net/", "src/core/")
 SHARD_SHARED_EXEMPT_RE = re.compile(
     r"\b(thread_local|constexpr|constinit)\b|\bstatic_assert\b")
@@ -509,11 +509,11 @@ class Linter:
                 if self._is_data_decl(rest):
                     self.report(
                         sf, i, "shard-shared",
-                        "mutable static-storage state in a shard-homed "
-                        "module: shards run on concurrent workers "
-                        "(sim/parallel.h), so this is shared across shards; "
-                        "home it on the shard's object graph, make it "
-                        "const/constexpr, or use thread_local")
+                        "mutable static-storage state in a simulation "
+                        "module: RunSet (sim/parallel.h) runs simulations "
+                        "on concurrent workers, so this is shared across "
+                        "runs; home it on the simulation's object graph, "
+                        "make it const/constexpr, or use thread_local")
                 continue
             # File/namespace-scope variable definitions without the static
             # keyword (anonymous-namespace globals) share state all the same.
@@ -528,11 +528,11 @@ class Linter:
             if NS_VAR_DEF_RE.match(t) and self._is_data_decl(t):
                 self.report(
                     sf, i, "shard-shared",
-                    "mutable file-scope state in a shard-homed module: "
-                    "shards run on concurrent workers (sim/parallel.h), so "
-                    "this is shared across shards; home it on the shard's "
-                    "object graph, make it const/constexpr, or use "
-                    "thread_local")
+                    "mutable file-scope state in a simulation module: "
+                    "RunSet (sim/parallel.h) runs simulations on concurrent "
+                    "workers, so this is shared across runs; home it on the "
+                    "simulation's object graph, make it const/constexpr, or "
+                    "use thread_local")
 
     @staticmethod
     def _is_data_decl(decl: str) -> bool:

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,24 +23,13 @@ namespace stellar::bench {
 // -- Fidelity selection -------------------------------------------------------
 //
 // --fidelity={packet,fluid,hybrid} picks the simulation engine for benches
-// that support the hybrid fidelity driver (fig09/fig12/fig15_16):
-//   packet  per-packet reference engine (the default; byte-identical to
-//           builds without the driver attached)
-//   hybrid  fluid fast-forward of stable epochs with packet-level zoom over
-//           the measured window (docs/HYBRID.md)
-//   fluid   flow-level everywhere triggers allow; forced zooms promote back
-//           after one epoch
+// that support the hybrid fidelity driver (fig09/fig12/fig15_16); packet is
+// the default. Fidelity, its names and the driver factory live with the
+// driver (sim/hybrid.h, docs/HYBRID.md).
 
-enum class Fidelity { kPacket, kFluid, kHybrid };
-
-inline const char* fidelity_name(Fidelity f) {
-  switch (f) {
-    case Fidelity::kPacket: return "packet";
-    case Fidelity::kFluid: return "fluid";
-    case Fidelity::kHybrid: return "hybrid";
-  }
-  return "?";
-}
+using stellar::Fidelity;
+using stellar::fidelity_name;
+using stellar::make_fidelity_driver;
 
 inline Fidelity fidelity_arg(int argc, char** argv,
                              Fidelity def = Fidelity::kPacket) {
@@ -58,18 +46,6 @@ inline Fidelity fidelity_arg(int argc, char** argv,
     }
   }
   return def;
-}
-
-/// Build the driver for the requested fidelity — nullptr for packet, so the
-/// packet path stays exactly the no-driver build. Must be called before any
-/// RdmaEngine is constructed on `fabric` and destroyed after all of them.
-inline std::unique_ptr<HybridDriver> make_fidelity_driver(Simulator& sim,
-                                                          ClosFabric& fabric,
-                                                          Fidelity f) {
-  if (f == Fidelity::kPacket) return nullptr;
-  HybridConfig hc;
-  if (f == Fidelity::kFluid) hc.poll_triggers = false;
-  return std::make_unique<HybridDriver>(sim, fabric, hc);
 }
 
 /// --threads=N flag shared by every simulator-driving bench: the worker

@@ -92,17 +92,10 @@ class STELLAR_CAPABILITY("single-owner") SingleOwner {
         owner_.load(std::memory_order_acquire) != self) {
       std::fprintf(stderr,
                    "stellar: SingleOwner violation — state owned by another "
-                   "thread was accessed without a hand-off (release()).\n");
+                   "thread was accessed; the first thread to touch an object "
+                   "owns it for the object's lifetime.\n");
       std::abort();
     }
-#endif
-  }
-
-  /// Explicit ownership hand-off (e.g. moving a simulation to a new
-  /// worker): the current owner renounces, the next toucher claims.
-  void release() const STELLAR_RELEASE() {
-#if STELLAR_AUDIT_ENABLED
-    owner_.store(std::thread::id{}, std::memory_order_release);
 #endif
   }
 

@@ -97,9 +97,11 @@ std::uint64_t RdmaConnection::enqueue_message(std::uint64_t bytes,
   unsent_queue_.push_back(msg_id);
   if (fluid_) {
     // Under fluid service no packet is built. A WRITE joins the flow's
-    // analytic demand; anything else (SEND/READ) zooms the region back to
-    // packet mode, which thaws this connection and re-runs send_more.
-    if (kind == PacketKind::kWrite) {
+    // analytic demand; anything else (SEND/READ, or a zero-length WRITE,
+    // which has no bytes to serve and so no completion time) zooms the
+    // region back to packet mode, which thaws this connection and re-runs
+    // send_more.
+    if (kind == PacketKind::kWrite && bytes > 0) {
       hybrid_driver()->on_fluid_post(this);
     } else {
       hybrid_driver()->on_ineligible_post(this);
@@ -471,14 +473,14 @@ void RdmaConnection::enter_error(Status reason) {
 bool RdmaConnection::fluid_eligible() const {
   if (error_) return false;
   // stellar-lint: allow(unordered-iter) order-insensitive: computes one
-  // all-WRITEs boolean; no per-element emission or scheduling.
+  // all-non-empty-WRITEs boolean; no per-element emission or scheduling.
   for (const auto& [id, msg] : messages_) {
-    if (msg.kind != PacketKind::kWrite) return false;
+    if (msg.kind != PacketKind::kWrite || msg.total == 0) return false;
   }
   return true;
 }
 
-FluidFlowDesc RdmaConnection::fluid_freeze() {
+FluidShares RdmaConnection::fluid_freeze() {
   // No packets exist under fluid service: nothing can time out, so timers
   // and probes go quiet (the same teardown a hot restart performs).
   Simulator& sim = engine_.simulator();
@@ -498,14 +500,10 @@ FluidFlowDesc RdmaConnection::fluid_freeze() {
   inflight_bytes_ = 0;
   if (config_.per_path_cc) per_path_inflight_.assign(config_.num_paths, 0);
   unsent_queue_.clear();
-  FluidFlowDesc desc;
   for (const std::uint64_t msg_id : sorted_keys(messages_)) {
     Message& msg = messages_.at(msg_id);
     msg.sent = msg.acked;
-    if (msg.sent < msg.total) {
-      unsent_queue_.push_back(msg_id);
-      desc.remaining += msg.total - msg.acked;
-    }
+    if (msg.sent < msg.total) unsent_queue_.push_back(msg_id);
   }
   fluid_ = true;
 
@@ -514,20 +512,21 @@ FluidFlowDesc RdmaConnection::fluid_freeze() {
   // so the share vector is identical run to run (never pointer order).
   std::vector<double> weights;
   selector_->fluid_path_weights(weights);
+  FluidShares shares;
   std::unordered_map<const NetLink*, std::size_t> index;
   for (std::size_t path = 0; path < weights.size(); ++path) {
     if (weights[path] <= 0.0) continue;
     for (const NetLink* link : engine_.fabric().path_links(
              local_, remote_, id_, static_cast<std::uint16_t>(path))) {
-      auto [it, inserted] = index.emplace(link, desc.shares.size());
+      auto [it, inserted] = index.emplace(link, shares.size());
       if (inserted) {
-        desc.shares.emplace_back(link, weights[path]);
+        shares.emplace_back(link, weights[path]);
       } else {
-        desc.shares[it->second].second += weights[path];
+        shares[it->second].second += weights[path];
       }
     }
   }
-  return desc;
+  return shares;
 }
 
 void RdmaConnection::fluid_thaw(double rate_bytes_per_sec) {
@@ -565,9 +564,9 @@ std::uint64_t RdmaConnection::fluid_serve(std::uint64_t bytes) {
   std::uint64_t served = 0;
   while (served < bytes && !unsent_queue_.empty()) {
     Message& msg = messages_.at(unsent_queue_.front());
-    // A non-WRITE at the head means a zoom is already pending for this
-    // region (on_ineligible_post); stop serving at the boundary.
-    if (msg.kind != PacketKind::kWrite) break;
+    // A non-WRITE or zero-length WRITE at the head means a zoom is already
+    // pending for this region (on_ineligible_post); stop at the boundary.
+    if (msg.kind != PacketKind::kWrite || msg.total == 0) break;
     const std::uint64_t take =
         std::min(msg.total - msg.acked, bytes - served);
     msg.acked += take;
@@ -601,16 +600,6 @@ void RdmaConnection::fluid_complete_message(Message& msg) {
   Completion cb = std::move(msg.on_complete);
   messages_.erase(msg.id);  // invalidates msg
   if (cb) cb();
-}
-
-std::uint64_t RdmaConnection::fluid_remaining() const {
-  std::uint64_t remaining = 0;
-  for (const std::uint64_t msg_id : unsent_queue_) {
-    const Message& msg = messages_.at(msg_id);
-    if (msg.kind != PacketKind::kWrite) break;
-    remaining += msg.total - msg.acked;
-  }
-  return remaining;
 }
 
 std::uint64_t RdmaConnection::fluid_next_completion_bytes() const {

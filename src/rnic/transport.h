@@ -160,14 +160,12 @@ class RdmaConnection : public FluidClient {
 
   // -- FluidClient (hybrid fidelity; called by HybridDriver) ----------------
 
-  std::uint64_t fluid_conn_id() const override { return id_; }
   EndpointId fluid_endpoint() const override { return local_; }
   bool fluid_eligible() const override;
   bool fluid_errored() const override { return error_; }
-  FluidFlowDesc fluid_freeze() override;
+  FluidShares fluid_freeze() override;
   void fluid_thaw(double rate_bytes_per_sec) override;
   std::uint64_t fluid_serve(std::uint64_t bytes) override;
-  std::uint64_t fluid_remaining() const override;
   std::uint64_t fluid_next_completion_bytes() const override;
   std::uint64_t fluid_retransmit_count() const override {
     return retransmits_;

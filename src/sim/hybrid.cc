@@ -5,9 +5,38 @@
 
 namespace stellar {
 
+namespace {
+
+/// Trigger-poll period while any region is in packet mode.
+constexpr SimTime kEpoch = SimTime::micros(5);
+/// Hybrid promotion requires every region link's queue at or below this...
+constexpr std::uint64_t kZoomQueueBytes = 256u << 10;
+/// ...for this many consecutive quiet epochs.
+constexpr std::uint32_t kPromoteQuietEpochs = 3;
+
+}  // namespace
+
+const char* fidelity_name(Fidelity f) {
+  switch (f) {
+    case Fidelity::kPacket: return "packet";
+    case Fidelity::kFluid: return "fluid";
+    case Fidelity::kHybrid: return "hybrid";
+  }
+  return "?";
+}
+
+std::unique_ptr<HybridDriver> make_fidelity_driver(Simulator& sim,
+                                                   ClosFabric& fabric,
+                                                   Fidelity f) {
+  if (f == Fidelity::kPacket) return nullptr;
+  return std::make_unique<HybridDriver>(sim, fabric, f);
+}
+
 HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric,
-                           HybridConfig config)
-    : sim_(&sim), fabric_(&fabric), config_(config) {
+                           Fidelity fidelity)
+    : sim_(&sim), fabric_(&fabric), fidelity_(fidelity) {
+  STELLAR_CHECK(fidelity != Fidelity::kPacket,
+                "packet fidelity runs without a hybrid driver");
   STELLAR_CHECK(fabric.hybrid_driver() == nullptr,
                 "fabric already has a hybrid driver attached");
   fabric.set_hybrid_driver(this);
@@ -38,7 +67,7 @@ HybridDriver::HybridDriver(Simulator& sim, ClosFabric& fabric,
       }
       rg.span_start = sim.now();
       rg.last_advance = sim.now();
-      if (config_.start_fluid) rg.mode = RegionMode::kFluid;
+      rg.mode = RegionMode::kFluid;
     }
   }
 }
@@ -94,22 +123,10 @@ void HybridDriver::register_client(FluidClient* client) {
   rg.clients.push_back(ci);
   info_.emplace(client, std::move(info));
   if (rg.mode == RegionMode::kFluid) {
-    // Born in fluid: a fresh connection has no packet state, so its freeze
-    // is trivial — it only resolves the link shares its spray would use.
-    FluidFlowDesc desc = client->fluid_freeze();
-    ci->shares.clear();
-    for (const auto& [link, weight] : desc.shares) {
-      auto it = rg.link_index.find(link);
-      STELLAR_CHECK(it != rg.link_index.end(),
-                    "fluid flow references a link outside its region");
-      ci->shares.push_back(FluidSolver::LinkShare{it->second, weight});
-    }
-    ci->in_fluid = true;
-    if (desc.remaining > 0) {
-      ci->flow = rg.solver.add_flow(ci->shares);
-      rg.solve_needed = true;
-      if (!in_advance_) schedule_kick(ci->region);
-    }
+    // Born in fluid: a connection registers from its constructor, before
+    // any post, so its freeze only resolves the link shares its spray
+    // would use; its first WRITE starts the flow (on_fluid_post).
+    freeze_client(rg, ci);
   } else {
     arm_tick();
   }
@@ -165,7 +182,6 @@ void HybridDriver::advance_to_now(Region& rg) {
       continue;
     }
     const std::uint64_t served = ci->client->fluid_serve(want);
-    fluid_bytes_served_ += served;
     ci->carry = served == want ? earned - static_cast<double>(want) : 0.0;
   }
   in_advance_ = false;
@@ -183,7 +199,7 @@ void HybridDriver::service_region(std::uint32_t region) {
   // Retire drained (or errored) flows.
   for (ClientInfo* ci : rg.clients) {
     if (ci->flow < 0) continue;
-    if (ci->dead || ci->client->fluid_remaining() == 0) {
+    if (ci->dead || ci->client->fluid_next_completion_bytes() == 0) {
       rg.solver.remove_flow(static_cast<std::uint32_t>(ci->flow));
       ci->flow = -1;
       ci->carry = 0.0;
@@ -194,24 +210,6 @@ void HybridDriver::service_region(std::uint32_t region) {
   if (rg.solve_needed) {
     rg.solver.solve();
     rg.solve_needed = false;
-    if (config_.zoom_on_saturation) {
-      bool saturated = false;
-      for (std::uint32_t l = 0; l < rg.links.size(); ++l) {
-        const double cap = rg.solver.capacity(l);
-        if (cap > 0.0 && rg.solver.link_load(l) >= 0.999 * cap) {
-          saturated = true;
-          break;
-        }
-      }
-      if (saturated) {
-        if (++rg.saturated_solves >= config_.saturation_solves) {
-          zoom_region(region, "saturated-bottleneck");
-          return;
-        }
-      } else {
-        rg.saturated_solves = 0;
-      }
-    }
   }
   schedule_next(region);
 }
@@ -262,6 +260,18 @@ void HybridDriver::schedule_kick(std::uint32_t region) {
 // Mode transitions
 // ---------------------------------------------------------------------------
 
+void HybridDriver::freeze_client(Region& rg, ClientInfo* ci) {
+  ci->shares.clear();
+  for (const auto& [link, weight] : ci->client->fluid_freeze()) {
+    auto it = rg.link_index.find(link);
+    STELLAR_CHECK(it != rg.link_index.end(),
+                  "fluid flow references a link outside its region");
+    ci->shares.push_back(FluidSolver::LinkShare{it->second, weight});
+  }
+  ci->in_fluid = true;
+  ci->carry = 0.0;
+}
+
 void HybridDriver::enter_fluid(std::uint32_t region) {
   Region& rg = regions_[region];
   if (rg.mode == RegionMode::kFluid) return;
@@ -290,22 +300,14 @@ void HybridDriver::enter_fluid(std::uint32_t region) {
       ci->dead = true;
       continue;
     }
-    FluidFlowDesc desc = ci->client->fluid_freeze();
-    ci->shares.clear();
-    for (const auto& [link, weight] : desc.shares) {
-      auto it = rg.link_index.find(link);
-      STELLAR_CHECK(it != rg.link_index.end(),
-                    "fluid flow references a link outside its region");
-      ci->shares.push_back(FluidSolver::LinkShare{it->second, weight});
+    freeze_client(rg, ci);
+    if (ci->client->fluid_next_completion_bytes() > 0) {
+      ci->flow = rg.solver.add_flow(ci->shares);
     }
-    ci->in_fluid = true;
-    ci->carry = 0.0;
-    if (desc.remaining > 0) ci->flow = rg.solver.add_flow(ci->shares);
   }
   emit_span(region, rg, RegionMode::kPacket);
   rg.mode = RegionMode::kFluid;
   rg.last_advance = now;
-  rg.saturated_solves = 0;
   ++transitions_;
   rg.solver.solve();
   rg.solve_needed = false;
@@ -392,7 +394,7 @@ void HybridDriver::on_fluid_post(FluidClient* client) {
   ClientInfo* ci = it->second.get();
   if (!ci->in_fluid || ci->dead) return;
   Region& rg = regions_[ci->region];
-  if (ci->flow < 0 && ci->client->fluid_remaining() > 0) {
+  if (ci->flow < 0 && ci->client->fluid_next_completion_bytes() > 0) {
     ci->flow = rg.solver.add_flow(ci->shares);
     ci->carry = 0.0;
     rg.solve_needed = true;
@@ -448,12 +450,14 @@ void HybridDriver::arm_tick() {
   // traffic stops, the tick stops with it.
   if (sim_->pending_events() == 0) return;
   tick_armed_ = true;
-  sim_->schedule_after(config_.epoch, [this] { tick(); });
+  sim_->schedule_after(kEpoch, [this] { tick(); });
 }
 
 void HybridDriver::tick() {
   tick_armed_ = false;
   const SimTime now = sim_->now();
+  // Pure fluid polls no trigger: any epoch past the hold is quiet.
+  const bool poll = fidelity_ == Fidelity::kHybrid;
   for (std::uint32_t r = 0; r < regions_.size(); ++r) {
     Region& rg = regions_[r];
     if (rg.mode != RegionMode::kPacket) continue;
@@ -472,9 +476,9 @@ void HybridDriver::tick() {
       if (!ci->dead) retx += ci->client->fluid_retransmit_count();
     }
     bool quiet = true;
-    if (config_.poll_triggers) {
+    if (poll) {
       for (const NetLink* link : rg.links) {
-        if (link->queue_bytes() > config_.zoom_queue_bytes) {
+        if (link->queue_bytes() > kZoomQueueBytes) {
           quiet = false;
           break;
         }
@@ -489,9 +493,7 @@ void HybridDriver::tick() {
     } else {
       rg.quiet_epochs = 0;
     }
-    const std::uint32_t need =
-        config_.poll_triggers ? config_.promote_quiet_epochs : 1;
-    if (rg.quiet_epochs >= need) enter_fluid(r);
+    if (rg.quiet_epochs >= (poll ? kPromoteQuietEpochs : 1)) enter_fluid(r);
   }
   arm_tick();
 }

@@ -23,11 +23,14 @@
 //     repopulates real queues.
 //
 // Drop-to-packet triggers: any FaultInjector event touching the fabric, a
-// connection posting work the fluid model cannot serve (SEND/READ, QP
-// error), an explicit zoom window (benches use this to cover measurement
-// or --trace windows), and optionally a persistently saturated bottleneck.
-// Promotion back to fluid requires N consecutive quiet trigger epochs
-// (queues under threshold, no new ECN marks or retransmits).
+// connection posting work the fluid model cannot serve (SEND/READ, a
+// zero-length WRITE, QP error), and an explicit zoom window (benches use
+// this to cover measurement or --trace windows). A persistently saturated
+// bottleneck is not a trigger: max-min fairness models stable congestion
+// exactly. Promotion back to fluid requires 3 consecutive quiet 5 us
+// trigger epochs (every region queue <= 256 KiB, no new ECN marks or
+// retransmits); pure fluid fidelity promotes after one epoch, whatever the
+// queues.
 //
 // Everything is deterministic: regions, links, and clients are iterated in
 // construction/registration order, rates come from the deterministic
@@ -52,39 +55,43 @@ namespace stellar {
 
 enum class RegionMode : std::uint8_t { kPacket, kFluid };
 
-/// A connection's footprint on the link graph, produced by fluid_freeze().
-/// `shares` lists (link, fraction-of-packets) in deterministic route order
-/// — first-encounter order over path ids, never pointer order.
-struct FluidFlowDesc {
-  std::uint64_t remaining = 0;  // unacked bytes re-served as fluid demand
-  std::vector<std::pair<const NetLink*, double>> shares;
-};
+/// Simulation fidelity, as picked by the benches' --fidelity= flag:
+///   kPacket  the per-packet reference engine: no driver is attached at all
+///   kHybrid  fluid fast-forward of stable epochs, packet zoom on triggers
+///   kFluid   flow-level wherever possible: no trigger is polled, so a
+///            forced zoom promotes back after one epoch
+enum class Fidelity { kPacket, kFluid, kHybrid };
+
+const char* fidelity_name(Fidelity f);
+
+/// A connection's footprint on the link graph, produced by fluid_freeze():
+/// (link, fraction-of-packets) in deterministic route order — first-
+/// encounter order over path ids, never pointer order.
+using FluidShares = std::vector<std::pair<const NetLink*, double>>;
 
 /// Sender side of a connection under fluid service (RdmaConnection).
 class FluidClient {
  public:
   virtual ~FluidClient() = default;
-  virtual std::uint64_t fluid_conn_id() const = 0;
   /// Local endpoint; the driver derives the region from its coordinates.
   virtual EndpointId fluid_endpoint() const = 0;
-  /// True if every queued message is fluid-servable (WRITE) and the QP is
-  /// healthy. A false answer keeps (or drops) the region in packet mode.
+  /// True if every queued message is fluid-servable (a non-empty WRITE)
+  /// and the QP is healthy. A false answer keeps the region in packet mode.
   virtual bool fluid_eligible() const = 0;
   /// True once the QP entered its terminal error state. Errored clients
   /// are skipped at freeze time rather than blocking the whole region.
   virtual bool fluid_errored() const = 0;
   /// Convert packet state to fluid state (rewind unacked bytes, cancel
   /// timers). Called once per freeze; must be valid on a fresh connection.
-  virtual FluidFlowDesc fluid_freeze() = 0;
+  virtual FluidShares fluid_freeze() = 0;
   /// Convert back: seed the congestion window from the last fluid rate
   /// (bytes/sec; 0 = no assigned rate) and resume packet transmission.
   virtual void fluid_thaw(double rate_bytes_per_sec) = 0;
   /// Serve up to `bytes` of queued demand, firing receiver-then-sender
   /// completions exactly as packet mode would. Returns bytes consumed.
   virtual std::uint64_t fluid_serve(std::uint64_t bytes) = 0;
-  /// Unserved fluid demand in bytes (0 = flow inactive).
-  virtual std::uint64_t fluid_remaining() const = 0;
-  /// Bytes until the in-service message completes (0 = no demand).
+  /// Bytes until the in-service message completes (0 = no servable
+  /// demand: the flow is inactive).
   virtual std::uint64_t fluid_next_completion_bytes() const = 0;
   /// Cumulative retransmit count — a promotion quietness signal.
   virtual std::uint64_t fluid_retransmit_count() const = 0;
@@ -110,27 +117,6 @@ class FluidReceiver {
   virtual void fluid_advance(const FluidDelivery& delivery) = 0;
 };
 
-struct HybridConfig {
-  /// Regions start in fluid mode (connections created under a fluid region
-  /// are born fluid; their first post never builds packet state).
-  bool start_fluid = true;
-  /// Poll promotion triggers (hybrid fidelity). false = pure fluid
-  /// fidelity: a forced zoom promotes back after one epoch, unconditionally.
-  bool poll_triggers = true;
-  /// Trigger-poll period while any region is in packet mode.
-  SimTime epoch = SimTime::micros(5);
-  /// Promotion requires every region link's queue below this.
-  std::uint64_t zoom_queue_bytes = 256u << 10;
-  /// Consecutive quiet epochs required before promotion.
-  std::uint32_t promote_quiet_epochs = 3;
-  /// Optionally zoom when the solver reports a saturated bottleneck for
-  /// this many consecutive solves (off by default: a max-min bottleneck is
-  /// *stable* congestion, which fluid models exactly; benches zoom via
-  /// explicit windows instead).
-  bool zoom_on_saturation = false;
-  std::uint32_t saturation_solves = 4;
-};
-
 class HybridDriver {
  public:
   /// Mode-span observation hook, fired when a region leaves a mode (and at
@@ -139,7 +125,8 @@ class HybridDriver {
   using SpanHook = InlineFunction<void(std::uint32_t region, RegionMode mode,
                                        SimTime begin, SimTime end)>;
 
-  HybridDriver(Simulator& sim, ClosFabric& fabric, HybridConfig config = {});
+  /// `fidelity` is kHybrid or kFluid. Every region starts in fluid mode.
+  HybridDriver(Simulator& sim, ClosFabric& fabric, Fidelity fidelity);
   ~HybridDriver();
   HybridDriver(const HybridDriver&) = delete;
   HybridDriver& operator=(const HybridDriver&) = delete;
@@ -159,9 +146,6 @@ class HybridDriver {
   }
   RegionMode region_mode(std::uint32_t region) const {
     return regions_[region].mode;
-  }
-  RegionMode mode_of(std::uint32_t rail, std::uint32_t plane) const {
-    return regions_[rail * fabric_->config().planes + plane].mode;
   }
 
   /// Drop every region to packet mode now and hold promotion off for at
@@ -188,7 +172,6 @@ class HybridDriver {
 
   std::uint64_t transitions() const { return transitions_; }
   std::uint64_t absorbed_packets() const { return absorbed_packets_; }
-  std::uint64_t fluid_bytes_served() const { return fluid_bytes_served_; }
   std::uint64_t fluid_completions() const { return fluid_completions_; }
   /// Simulated time spent in fluid mode, summed over regions (open spans
   /// included up to now()).
@@ -218,7 +201,6 @@ class HybridDriver {
     bool pending_zoom = false;
     const char* pending_zoom_reason = "";
     std::uint32_t quiet_epochs = 0;
-    std::uint32_t saturated_solves = 0;
     SimTime span_start = SimTime::zero();
     SimTime fluid_total = SimTime::zero();
     std::uint64_t last_ecn = 0;
@@ -226,6 +208,8 @@ class HybridDriver {
   };
 
   std::uint32_t region_of(EndpointId endpoint) const;
+  /// Freeze one client and resolve its link shares to solver indices.
+  void freeze_client(Region& rg, ClientInfo* ci);
   void enter_fluid(std::uint32_t region);
   void zoom_region(std::uint32_t region, const char* reason);
   /// Serve elapsed time, prune finished flows, re-solve, schedule the next
@@ -240,7 +224,7 @@ class HybridDriver {
 
   Simulator* sim_;
   ClosFabric* fabric_;
-  HybridConfig config_;
+  Fidelity fidelity_;
   std::vector<Region> regions_;
   std::unordered_map<FluidClient*, std::unique_ptr<ClientInfo>> info_;
   std::unordered_map<EndpointId, FluidReceiver*> receivers_;
@@ -250,8 +234,14 @@ class HybridDriver {
   bool in_advance_ = false;
   std::uint64_t transitions_ = 0;
   std::uint64_t absorbed_packets_ = 0;
-  std::uint64_t fluid_bytes_served_ = 0;
   std::uint64_t fluid_completions_ = 0;
 };
+
+/// The driver for `f`: nullptr for packet fidelity, so the packet path stays
+/// exactly the no-driver build. Must be called before any RdmaEngine is
+/// constructed on `fabric`, and destroyed after all of them.
+std::unique_ptr<HybridDriver> make_fidelity_driver(Simulator& sim,
+                                                   ClosFabric& fabric,
+                                                   Fidelity f);
 
 }  // namespace stellar

@@ -34,25 +34,6 @@
 namespace stellar {
 namespace {
 
-enum class Fidelity { kPacket, kFluid, kHybrid };
-
-const char* fidelity_name(Fidelity f) {
-  switch (f) {
-    case Fidelity::kPacket: return "packet";
-    case Fidelity::kFluid: return "fluid";
-    case Fidelity::kHybrid: return "hybrid";
-  }
-  return "?";
-}
-
-std::unique_ptr<HybridDriver> make_driver(Simulator& sim, ClosFabric& fabric,
-                                          Fidelity f) {
-  if (f == Fidelity::kPacket) return nullptr;
-  HybridConfig hc;
-  if (f == Fidelity::kFluid) hc.poll_triggers = false;
-  return std::make_unique<HybridDriver>(sim, fabric, hc);
-}
-
 /// Declared packet-vs-hybrid tolerance for completion times (fraction).
 constexpr double kHybridTol = 0.15;
 /// Pure fluid skips CC ramp-up entirely, so it runs a bounded amount
@@ -87,7 +68,7 @@ RunResult run_fig09_mini(MultipathAlgo algo, std::uint16_t paths,
   fc.aggs_per_plane = 8;
   fc.fabric_link.bandwidth = Bandwidth::gbps(200);
   ClosFabric fabric(sim, fc);
-  auto hybrid = make_driver(sim, fabric, fidelity);
+  auto hybrid = make_fidelity_driver(sim, fabric, fidelity);
   EngineFleet fleet(sim, fabric);
 
   TransportConfig t;
@@ -151,7 +132,7 @@ RunResult run_fig12_mini(std::uint16_t paths, Fidelity fidelity) {
   fc.planes = 1;
   fc.aggs_per_plane = 8;
   ClosFabric fabric(sim, fc);
-  auto hybrid = make_driver(sim, fabric, fidelity);
+  auto hybrid = make_fidelity_driver(sim, fabric, fidelity);
   EngineFleet fleet(sim, fabric);
 
   const EndpointId a = fabric.endpoint(0, 0, 0, 0);

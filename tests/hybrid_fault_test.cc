@@ -48,7 +48,7 @@ void add_audits(AuditRegistry& audits, Simulator& sim, ClosFabric& fabric,
 TEST(HybridFaultTest, LinkDownMidFluidEpochForcesPacketZoom) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric, Fidelity::kHybrid);
   EngineFleet fleet(sim, fabric);
 
   TransportConfig t;
@@ -114,7 +114,7 @@ TEST(HybridFaultTest, LinkDownMidFluidEpochForcesPacketZoom) {
 TEST(HybridFaultTest, SwitchDeathMidFluidEpochForcesPacketZoom) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric, Fidelity::kHybrid);
   EngineFleet fleet(sim, fabric);
 
   TransportConfig t;
@@ -164,7 +164,7 @@ TEST(HybridFaultTest, SwitchDeathMidFluidEpochForcesPacketZoom) {
 TEST(HybridFaultTest, ReceiverRnicResetMidFluidRidesRetransmits) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric, Fidelity::kHybrid);
   EngineFleet fleet(sim, fabric);
 
   TransportConfig t;
@@ -217,7 +217,7 @@ TEST(HybridFaultTest, ReceiverRnicResetMidFluidRidesRetransmits) {
 TEST(HybridFaultTest, SenderResetErrorsFrozenClientWithoutWedgingRegion) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric, Fidelity::kHybrid);
   EngineFleet fleet(sim, fabric);
 
   TransportConfig t;
@@ -276,7 +276,7 @@ TEST(HybridFaultTest, SenderResetErrorsFrozenClientWithoutWedgingRegion) {
 TEST(HybridFaultTest, MiniChaosSoakTransitionsStayConservative) {
   Simulator sim;
   ClosFabric fabric(sim, small_fabric());
-  HybridDriver driver(sim, fabric, HybridConfig{});
+  HybridDriver driver(sim, fabric, Fidelity::kHybrid);
   EngineFleet fleet(sim, fabric);
 
   std::vector<EndpointId> ranks;

@@ -20,9 +20,9 @@
 #   6c. the hybrid-labelled fidelity tests (fluid-solver properties, the
 #      golden-equivalence harness, mode-transition fault regressions), plus
 #      the fig09-mini packet-vs-hybrid tolerance gate
-#      (tools/check_hybrid_equivalence.py), a run-twice hybrid BENCH JSON
-#      byte-determinism check, and a hybrid trace smoke asserting
-#      trace_summarize reports fluid fast-forward spans
+#      (tools/check_hybrid_equivalence.py), run-twice hybrid and run-twice
+#      pure-fluid BENCH JSON byte-determinism checks, and a hybrid trace
+#      smoke asserting trace_summarize reports fluid fast-forward spans
 #   7. a fig09 mini trace dump + trace_summarize smoke (the tracer's
 #      byte-determinism and the summarizer's parser, end to end)
 #   7b. the ShardedRunSet (run-level) determinism gate: fig09-mini at
@@ -118,18 +118,24 @@ rm -rf "$ten_smoke_dir"
 step "hybrid fidelity suite (ctest -L hybrid)"
 ctest --test-dir build --output-on-failure -L hybrid
 
-step "hybrid equivalence gate (fig09 mini: packet vs hybrid, run-twice determinism)"
+step "hybrid equivalence gate (fig09 mini: packet vs hybrid, run-twice hybrid and fluid determinism)"
 hyb_dir="$(mktemp -d)"
 (cd "$hyb_dir" &&
-  mkdir packet hybrid1 hybrid2 &&
+  mkdir packet hybrid1 hybrid2 fluid1 fluid2 &&
   (cd packet && "$repo_root/build/bench/fig09_permutation" 0.02 \
     --fidelity=packet > fig09.log) &&
   (cd hybrid1 && "$repo_root/build/bench/fig09_permutation" 0.02 \
     --fidelity=hybrid > fig09.log) &&
   (cd hybrid2 && "$repo_root/build/bench/fig09_permutation" 0.02 \
     --fidelity=hybrid > fig09.log) &&
-  # Hybrid fidelity must be byte-deterministic run-to-run...
+  (cd fluid1 && "$repo_root/build/bench/fig09_permutation" 0.02 \
+    --fidelity=fluid > fig09.log) &&
+  (cd fluid2 && "$repo_root/build/bench/fig09_permutation" 0.02 \
+    --fidelity=fluid > fig09.log) &&
+  # Hybrid and pure fluid fidelity must be byte-deterministic run-to-run
+  # (perfbench's permutation err_pct is computed against pure fluid)...
   cmp hybrid1/BENCH_fig09.json hybrid2/BENCH_fig09.json &&
+  cmp fluid1/BENCH_fig09.json fluid2/BENCH_fig09.json &&
   # ...and agree with packet fidelity per row within the declared tolerance
   # (docs/HYBRID.md; the mini scale uses a wider band than the unit tests
   # because its measurement window is only ~40 us of sim time).

@@ -211,7 +211,7 @@ void FaultInjector::execute(const FaultEvent& e) {
       case FaultKind::kBackendRestart:
       case FaultKind::kLiveMigrate:
         driver->force_packet(std::max(e.duration, SimTime::micros(100)),
-                             fault_kind_name(e.kind));
+                             ZoomReason::kFault);
         break;
       default:
         break;

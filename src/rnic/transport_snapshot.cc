@@ -107,6 +107,11 @@ TransportConfig read_config(SnapshotReader& r) {
 // ---------------------------------------------------------------------------
 
 void RdmaConnection::save_state(SnapshotWriter& w) const {
+  // Fluid service state lives in the HybridDriver, which defers served
+  // bytes until a message completes: under fluid, `acked` lags the bytes
+  // served and the flow itself is not in this snapshot. Zoom the region to
+  // packet mode (HybridDriver::force_packet) before saving.
+  STELLAR_CHECK(!fluid_, "snapshot of a connection under fluid service");
   w.section(kConnTag);
   w.u64(id_);
   w.u32(local_);

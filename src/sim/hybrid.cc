@@ -118,6 +118,7 @@ void HybridDriver::register_client(FluidClient* client) {
   auto info = std::make_unique<ClientInfo>();
   ClientInfo* ci = info.get();
   ci->client = client;
+  ci->order = next_order_++;
   ci->region = region_of(client->fluid_endpoint());
   Region& rg = regions_[ci->region];
   rg.clients.push_back(ci);
@@ -140,6 +141,12 @@ void HybridDriver::unregister_client(FluidClient* client) {
   if (ci->flow >= 0) {
     rg.solver.remove_flow(static_cast<std::uint32_t>(ci->flow));
     rg.solve_needed = true;
+    rg.flowing.erase(std::find(rg.flowing.begin(), rg.flowing.end(), ci));
+  }
+  // A completion callback may tear a connection down mid-advance.
+  if (in_advance_) {
+    std::replace(serve_order_.begin(), serve_order_.end(), ci,
+                 static_cast<ClientInfo*>(nullptr));
   }
   rg.clients.erase(std::find(rg.clients.begin(), rg.clients.end(), ci));
   info_.erase(it);
@@ -169,8 +176,12 @@ void HybridDriver::advance_to_now(Region& rg) {
   const double dt = (now - rg.last_advance).sec();
   rg.last_advance = now;
   in_advance_ = true;
-  for (ClientInfo* ci : rg.clients) {
-    if (!ci->in_fluid || ci->dead || ci->flow < 0) continue;
+  // Completion callbacks may start flows mid-loop (on_fluid_post), which
+  // edits rg.flowing; a flow started now has no rate before the next solve
+  // and would earn nothing this pass, so walking a copy loses nothing.
+  serve_order_.assign(rg.flowing.begin(), rg.flowing.end());
+  for (ClientInfo* ci : serve_order_) {
+    if (ci == nullptr || !ci->in_fluid || ci->dead || ci->flow < 0) continue;
     const double rate = rg.solver.rate(static_cast<std::uint32_t>(ci->flow));
     if (rate <= 0.0) continue;
     // Integrate rate over the elapsed interval with a fractional-byte
@@ -181,8 +192,18 @@ void HybridDriver::advance_to_now(Region& rg) {
       ci->carry = earned;
       continue;
     }
-    const std::uint64_t served = ci->client->fluid_serve(want);
-    ci->carry = served == want ? earned - static_cast<double>(want) : 0.0;
+    // Short of the in-service message's end, a serve would only move its
+    // byte count: keep the bytes here until they complete it.
+    const std::uint64_t owed = ci->pending + want;
+    if (owed < ci->next) {
+      ci->pending = owed;
+      ci->carry = earned - static_cast<double>(want);
+      continue;
+    }
+    const std::uint64_t served = ci->client->fluid_serve(owed);
+    ci->pending = 0;
+    ci->next = ci->client->fluid_next_completion_bytes();
+    ci->carry = served == owed ? earned - static_cast<double>(want) : 0.0;
   }
   in_advance_ = false;
 }
@@ -196,17 +217,21 @@ void HybridDriver::service_region(std::uint32_t region) {
     zoom_region(region, rg.pending_zoom_reason);
     return;
   }
-  // Retire drained (or errored) flows.
-  for (ClientInfo* ci : rg.clients) {
-    if (ci->flow < 0) continue;
-    if (ci->dead || ci->client->fluid_next_completion_bytes() == 0) {
+  // Retire drained (or errored) flows, in registration order: the solver
+  // recycles freed ids LIFO, so this order decides later flow ids.
+  std::size_t keep = 0;
+  for (ClientInfo* ci : rg.flowing) {
+    if (ci->dead || ci->next == 0) {
       rg.solver.remove_flow(static_cast<std::uint32_t>(ci->flow));
       ci->flow = -1;
       ci->carry = 0.0;
       if (!ci->dead) ++fluid_completions_;
       rg.solve_needed = true;
+      continue;
     }
+    rg.flowing[keep++] = ci;
   }
+  rg.flowing.resize(keep);
   if (rg.solve_needed) {
     rg.solver.solve();
     rg.solve_needed = false;
@@ -223,11 +248,10 @@ void HybridDriver::schedule_next(std::uint32_t region) {
   const SimTime now = sim_->now();
   SimTime best = SimTime::max();
   bool found = false;
-  for (ClientInfo* ci : rg.clients) {
-    if (ci->flow < 0) continue;
+  for (const ClientInfo* ci : rg.flowing) {
     const double rate = rg.solver.rate(static_cast<std::uint32_t>(ci->flow));
     if (rate <= 0.0) continue;
-    const std::uint64_t upcoming = ci->client->fluid_next_completion_bytes();
+    const std::uint64_t upcoming = ci->next - ci->pending;
     if (upcoming == 0) continue;
     double need = static_cast<double>(upcoming) - ci->carry;
     if (need < 0.0) need = 0.0;
@@ -272,6 +296,19 @@ void HybridDriver::freeze_client(Region& rg, ClientInfo* ci) {
   ci->carry = 0.0;
 }
 
+void HybridDriver::start_flow(Region& rg, ClientInfo* ci, std::uint64_t next) {
+  ci->flow = rg.solver.add_flow(ci->shares);
+  ci->carry = 0.0;
+  ci->next = next;
+  ci->pending = 0;
+  rg.flowing.insert(
+      std::upper_bound(rg.flowing.begin(), rg.flowing.end(), ci,
+                       [](const ClientInfo* a, const ClientInfo* b) {
+                         return a->order < b->order;
+                       }),
+      ci);
+}
+
 void HybridDriver::enter_fluid(std::uint32_t region) {
   Region& rg = regions_[region];
   if (rg.mode == RegionMode::kFluid) return;
@@ -301,9 +338,8 @@ void HybridDriver::enter_fluid(std::uint32_t region) {
       continue;
     }
     freeze_client(rg, ci);
-    if (ci->client->fluid_next_completion_bytes() > 0) {
-      ci->flow = rg.solver.add_flow(ci->shares);
-    }
+    const std::uint64_t next = ci->client->fluid_next_completion_bytes();
+    if (next > 0) start_flow(rg, ci, next);
   }
   emit_span(region, rg, RegionMode::kPacket);
   rg.mode = RegionMode::kFluid;
@@ -314,7 +350,7 @@ void HybridDriver::enter_fluid(std::uint32_t region) {
   schedule_next(region);
 }
 
-void HybridDriver::zoom_region(std::uint32_t region, const char* reason) {
+void HybridDriver::zoom_region(std::uint32_t region, ZoomReason reason) {
   Region& rg = regions_[region];
   if (rg.mode != RegionMode::kFluid) return;
   if (in_advance_) {
@@ -334,6 +370,7 @@ void HybridDriver::zoom_region(std::uint32_t region, const char* reason) {
   emit_span(region, rg, RegionMode::kFluid);
   rg.mode = RegionMode::kPacket;
   ++transitions_;
+  ++rg.zooms[static_cast<std::size_t>(reason)];
   for (ClientInfo* ci : rg.clients) {
     double rate = 0.0;
     if (ci->flow >= 0) {
@@ -344,11 +381,17 @@ void HybridDriver::zoom_region(std::uint32_t region, const char* reason) {
     ci->carry = 0.0;
     if (ci->in_fluid) {
       ci->in_fluid = false;
+      // Hand the deferred bytes to the transport before thaw syncs its
+      // served prefix to the receiver. They end short of the in-service
+      // message, so no completion fires.
+      if (ci->pending > 0) ci->client->fluid_serve(ci->pending);
       // Thaw seeds the congestion window from the fluid rate and calls
       // send_more(), repopulating real link queues.
       ci->client->fluid_thaw(rate);
     }
+    ci->pending = 0;
   }
+  rg.flowing.clear();
   rg.solve_needed = false;
   rg.quiet_epochs = 0;
   // Promotion baselines: only *new* ECN marks / retransmits after the zoom
@@ -361,11 +404,10 @@ void HybridDriver::zoom_region(std::uint32_t region, const char* reason) {
   }
   rg.last_ecn = ecn;
   rg.last_retx = retx;
-  (void)reason;
   arm_tick();
 }
 
-void HybridDriver::force_packet(SimTime hold, const char* reason) {
+void HybridDriver::force_packet(SimTime hold, ZoomReason reason) {
   const SimTime until = sim_->now() + hold;
   if (until > hold_until_) hold_until_ = until;
   for (std::uint32_t r = 0; r < regions_.size(); ++r) zoom_region(r, reason);
@@ -375,12 +417,12 @@ void HybridDriver::force_packet(SimTime hold, const char* reason) {
 void HybridDriver::request_zoom_window(SimTime start, SimTime end) {
   if (start <= sim_->now()) {
     if (end > hold_until_) hold_until_ = end;
-    force_packet(SimTime::zero(), "zoom-window");
+    force_packet(SimTime::zero(), ZoomReason::kZoomWindow);
     return;
   }
   sim_->schedule_at(start, [this, end] {
     if (end > hold_until_) hold_until_ = end;
-    force_packet(SimTime::zero(), "zoom-window");
+    force_packet(SimTime::zero(), ZoomReason::kZoomWindow);
   });
 }
 
@@ -394,14 +436,20 @@ void HybridDriver::on_fluid_post(FluidClient* client) {
   ClientInfo* ci = it->second.get();
   if (!ci->in_fluid || ci->dead) return;
   Region& rg = regions_[ci->region];
-  if (ci->flow < 0 && ci->client->fluid_next_completion_bytes() > 0) {
-    ci->flow = rg.solver.add_flow(ci->shares);
-    ci->carry = 0.0;
+  const std::uint64_t next = ci->client->fluid_next_completion_bytes();
+  if (ci->flow >= 0) {
+    // A post behind an already-active flow queues after the in-service
+    // message: rates and the next completion event are unchanged. But a
+    // completion callback can post to a flow whose queue drained earlier
+    // in the same advance; the refreshed `next` keeps it from retiring.
+    ci->next = next;
+    return;
+  }
+  if (next > 0) {
+    start_flow(rg, ci, next);
     rg.solve_needed = true;
     if (!in_advance_) schedule_kick(ci->region);
   }
-  // A post behind an already-active flow queues after the in-service
-  // message: rates and the next completion event are unchanged.
 }
 
 void HybridDriver::on_ineligible_post(FluidClient* client) {
@@ -409,7 +457,7 @@ void HybridDriver::on_ineligible_post(FluidClient* client) {
   if (it == info_.end()) return;
   ClientInfo* ci = it->second.get();
   if (!ci->in_fluid) return;
-  zoom_region(ci->region, "ineligible-post");
+  zoom_region(ci->region, ZoomReason::kIneligiblePost);
 }
 
 void HybridDriver::on_client_error(FluidClient* client) {
@@ -417,6 +465,8 @@ void HybridDriver::on_client_error(FluidClient* client) {
   if (it == info_.end()) return;
   ClientInfo* ci = it->second.get();
   ci->dead = true;
+  ci->next = 0;
+  ci->pending = 0;
   if (!ci->in_fluid) return;
   ci->in_fluid = false;
   Region& rg = regions_[ci->region];

@@ -32,12 +32,27 @@
 // retransmits); pure fluid fidelity promotes after one epoch, whatever the
 // queues.
 //
+// Per-event cost: each region keeps the clients that have a flow in a list
+// (registration order), and advance, retire and next-completion scans walk
+// only that list. Service is deferred: each flow caches the bytes to its
+// in-service message's completion (`next`), and bytes earned below that
+// threshold accumulate in the driver as `pending` instead of reaching the
+// transport. The driver calls fluid_serve(pending + want) only once the
+// message completes (pending + want >= next) — so the per-flow work of an
+// event that completes nothing is arithmetic, with no virtual call — and it
+// flushes `pending` into the transport before fluid_thaw, whose receiver
+// prefix sync reads the served bytes. Completion times, serve order and
+// flow-id reuse are exactly those of serving every advance eagerly. While
+// a region is fluid, a message's `acked` therefore lags the bytes served;
+// snapshotting a frozen connection is refused (transport_snapshot.cc).
+//
 // Everything is deterministic: regions, links, and clients are iterated in
 // construction/registration order, rates come from the deterministic
 // solver, and event times are integer picoseconds derived from the same
 // arithmetic on every run.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -54,6 +69,13 @@
 namespace stellar {
 
 enum class RegionMode : std::uint8_t { kPacket, kFluid };
+
+/// Why a region left fluid mode.
+///   kFault           a FaultInjector event touched the fabric (force_packet)
+///   kIneligiblePost  a frozen connection posted work fluid cannot serve
+///   kZoomWindow      an explicit request_zoom_window opened
+enum class ZoomReason : std::uint8_t { kFault, kIneligiblePost, kZoomWindow };
+inline constexpr std::size_t kZoomReasonCount = 3;
 
 /// Simulation fidelity, as picked by the benches' --fidelity= flag:
 ///   kPacket  the per-packet reference engine: no driver is attached at all
@@ -151,7 +173,7 @@ class HybridDriver {
   /// Drop every region to packet mode now and hold promotion off for at
   /// least `hold`. The FaultInjector calls this for every fabric-touching
   /// event; safe to call redundantly.
-  void force_packet(SimTime hold, const char* reason);
+  void force_packet(SimTime hold, ZoomReason reason);
 
   /// Explicit packet-fidelity window [start, end): regions zoom at `start`
   /// and may promote only after `end` (measurement / --trace windows).
@@ -173,6 +195,11 @@ class HybridDriver {
   std::uint64_t transitions() const { return transitions_; }
   std::uint64_t absorbed_packets() const { return absorbed_packets_; }
   std::uint64_t fluid_completions() const { return fluid_completions_; }
+  /// Fluid -> packet transitions of `region` caused by `reason`. A zoom
+  /// request that finds the region already in packet mode is not counted.
+  std::uint64_t zooms(std::uint32_t region, ZoomReason reason) const {
+    return regions_.at(region).zooms[static_cast<std::size_t>(reason)];
+  }
   /// Simulated time spent in fluid mode, summed over regions (open spans
   /// included up to now()).
   SimTime fluid_time() const;
@@ -180,11 +207,17 @@ class HybridDriver {
  private:
   struct ClientInfo {
     FluidClient* client = nullptr;
+    std::uint64_t order = 0;  // registration sequence number
     std::uint32_t region = 0;
     bool in_fluid = false;
     bool dead = false;  // QP error while frozen; never re-frozen
     std::int64_t flow = -1;
     double carry = 0.0;  // fractional bytes carried between advances
+    /// fluid_next_completion_bytes() as of the last real serve or post.
+    std::uint64_t next = 0;
+    /// Bytes earned but not yet passed to fluid_serve; below `next`
+    /// whenever that is non-zero, else zero.
+    std::uint64_t pending = 0;
     std::vector<FluidSolver::LinkShare> shares;  // resolved at freeze
   };
 
@@ -194,24 +227,28 @@ class HybridDriver {
     std::vector<NetLink*> links;  // deterministic fabric order
     std::unordered_map<const NetLink*, std::uint32_t> link_index;  // lookup
     std::vector<ClientInfo*> clients;  // registration order
+    std::vector<ClientInfo*> flowing;  // clients with a flow, same order
     EventHandle advance_event;
     SimTime last_advance = SimTime::zero();
     bool solve_needed = false;
     bool kick_scheduled = false;
     bool pending_zoom = false;
-    const char* pending_zoom_reason = "";
+    ZoomReason pending_zoom_reason = ZoomReason::kFault;
     std::uint32_t quiet_epochs = 0;
     SimTime span_start = SimTime::zero();
     SimTime fluid_total = SimTime::zero();
     std::uint64_t last_ecn = 0;
     std::uint64_t last_retx = 0;
+    std::uint64_t zooms[kZoomReasonCount] = {};
   };
 
   std::uint32_t region_of(EndpointId endpoint) const;
   /// Freeze one client and resolve its link shares to solver indices.
   void freeze_client(Region& rg, ClientInfo* ci);
+  /// Add `ci`'s flow to the solver and to the region's flowing list.
+  void start_flow(Region& rg, ClientInfo* ci, std::uint64_t next);
   void enter_fluid(std::uint32_t region);
-  void zoom_region(std::uint32_t region, const char* reason);
+  void zoom_region(std::uint32_t region, ZoomReason reason);
   /// Serve elapsed time, prune finished flows, re-solve, schedule the next
   /// completion — the single advance path every event funnels through.
   void service_region(std::uint32_t region);
@@ -228,6 +265,8 @@ class HybridDriver {
   std::vector<Region> regions_;
   std::unordered_map<FluidClient*, std::unique_ptr<ClientInfo>> info_;
   std::unordered_map<EndpointId, FluidReceiver*> receivers_;
+  std::uint64_t next_order_ = 0;
+  std::vector<ClientInfo*> serve_order_;  // advance_to_now scratch
   SpanHook span_hook_;
   SimTime hold_until_ = SimTime::zero();
   bool tick_armed_ = false;

@@ -8,11 +8,16 @@
 //   * determinism: re-running the identical call sequence reproduces
 //     bitwise-identical rates;
 //   * conservation: integrating rates over a rate-change schedule serves
-//     exactly the demand the flows brought (no bytes created or lost).
+//     exactly the demand the flows brought (no bytes created or lost);
+//   * reference equivalence: under seeded churn the persistent solver's
+//     rates and link loads are bit-identical to a from-scratch reference
+//     solve after every step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -212,6 +217,262 @@ TEST_P(FluidPropertyTest, ByteConservationAcrossRateChanges) {
     EXPECT_NEAR(d.served, d.remaining, d.remaining * 1e-6);
   }
   EXPECT_NEAR(total_served, total_demand, total_demand * 1e-6);
+}
+
+// ---------------------------------------------------------------------------
+// Reference equivalence. ReferenceSolver is the from-scratch solver the
+// persistent one replaced: every solve() rebuilds the per-link crossing
+// index (CSR) over all links, re-sums every weight, and fills link loads in
+// a final pass. The persistent solver must reproduce its floats exactly.
+// ---------------------------------------------------------------------------
+
+class ReferenceSolver {
+ public:
+  using LinkShare = FluidSolver::LinkShare;
+
+  std::uint32_t add_link(double capacity) {
+    links_.push_back(Link{capacity, 0.0});
+    return static_cast<std::uint32_t>(links_.size() - 1);
+  }
+  void set_capacity(std::uint32_t link, double capacity) {
+    links_.at(link).capacity = capacity;
+  }
+  std::uint32_t add_flow(std::vector<LinkShare> shares) {
+    ++active_count_;
+    if (!free_ids_.empty()) {
+      const std::uint32_t id = free_ids_.back();
+      free_ids_.pop_back();
+      flows_[id] = Flow{std::move(shares), 0.0, true};
+      return id;
+    }
+    flows_.push_back(Flow{std::move(shares), 0.0, true});
+    return static_cast<std::uint32_t>(flows_.size() - 1);
+  }
+  void remove_flow(std::uint32_t flow) {
+    Flow& f = flows_.at(flow);
+    f.active = false;
+    f.rate = 0.0;
+    f.shares.clear();
+    --active_count_;
+    free_ids_.push_back(flow);
+  }
+  double rate(std::uint32_t flow) const { return flows_.at(flow).rate; }
+  double link_load(std::uint32_t link) const { return links_.at(link).load; }
+
+  void solve() {
+    const std::size_t nl = links_.size();
+    for (Link& l : links_) l.load = 0.0;
+    if (active_count_ == 0) return;
+    std::vector<double> residual(nl);
+    std::vector<double> unfrozen_weight(nl, 0.0);
+    std::vector<std::uint32_t> unfrozen_count(nl, 0);
+    for (std::size_t l = 0; l < nl; ++l) residual[l] = links_[l].capacity;
+    std::vector<std::uint32_t> active_flows;
+    std::size_t total_shares = 0;
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
+      if (!flows_[i].active) continue;
+      active_flows.push_back(static_cast<std::uint32_t>(i));
+      total_shares += flows_[i].shares.size();
+      for (const LinkShare& s : flows_[i].shares) {
+        unfrozen_weight[s.link] += s.weight;
+        ++unfrozen_count[s.link];
+      }
+    }
+    std::vector<std::size_t> csr_pos(nl + 1, 0);
+    for (std::uint32_t fid : active_flows) {
+      for (const LinkShare& s : flows_[fid].shares) ++csr_pos[s.link + 1];
+    }
+    for (std::size_t l = 0; l < nl; ++l) csr_pos[l + 1] += csr_pos[l];
+    std::vector<std::uint32_t> csr_flows(total_shares);
+    {
+      std::vector<std::size_t> fill(csr_pos.begin(), csr_pos.end() - 1);
+      for (std::uint32_t fid : active_flows) {
+        for (const LinkShare& s : flows_[fid].shares) {
+          csr_flows[fill[s.link]++] = fid;
+        }
+      }
+    }
+    std::vector<std::uint32_t> active_links;
+    for (std::size_t l = 0; l < nl; ++l) {
+      if (unfrozen_count[l] > 0) {
+        active_links.push_back(static_cast<std::uint32_t>(l));
+      }
+    }
+    constexpr double kBottleneckTol = 1e-12;
+    std::vector<char> frozen(flows_.size(), 0);
+    std::size_t remaining = active_flows.size();
+    while (remaining > 0) {
+      double rmin = std::numeric_limits<double>::infinity();
+      std::size_t keep = 0;
+      for (std::size_t k = 0; k < active_links.size(); ++k) {
+        const std::uint32_t l = active_links[k];
+        if (unfrozen_count[l] == 0 || unfrozen_weight[l] <= 0.0) continue;
+        active_links[keep++] = l;
+        const double r =
+            residual[l] > 0.0 ? residual[l] / unfrozen_weight[l] : 0.0;
+        if (r < rmin) rmin = r;
+      }
+      active_links.resize(keep);
+      ASSERT_LT(rmin, std::numeric_limits<double>::infinity());
+      const double cutoff = rmin + rmin * kBottleneckTol;
+      bool froze_any = false;
+      for (const std::uint32_t l : active_links) {
+        if (unfrozen_count[l] == 0 || unfrozen_weight[l] <= 0.0) continue;
+        const double r =
+            residual[l] > 0.0 ? residual[l] / unfrozen_weight[l] : 0.0;
+        if (r > cutoff) continue;
+        for (std::size_t i = csr_pos[l]; i < csr_pos[l + 1]; ++i) {
+          const std::uint32_t fid = csr_flows[i];
+          if (frozen[fid]) continue;
+          frozen[fid] = 1;
+          froze_any = true;
+          --remaining;
+          Flow& f = flows_[fid];
+          f.rate = rmin;
+          for (const LinkShare& s : f.shares) {
+            unfrozen_weight[s.link] -= s.weight;
+            --unfrozen_count[s.link];
+            residual[s.link] -= s.weight * rmin;
+            if (residual[s.link] < 0.0) residual[s.link] = 0.0;
+            if (unfrozen_weight[s.link] < 0.0) unfrozen_weight[s.link] = 0.0;
+          }
+        }
+      }
+      ASSERT_TRUE(froze_any);
+    }
+    for (const Flow& f : flows_) {
+      if (!f.active) continue;
+      for (const LinkShare& s : f.shares) {
+        links_[s.link].load += s.weight * f.rate;
+      }
+    }
+  }
+
+ private:
+  struct Link {
+    double capacity = 0.0;
+    double load = 0.0;
+  };
+  struct Flow {
+    std::vector<LinkShare> shares;
+    double rate = 0.0;
+    bool active = false;
+  };
+  std::vector<Link> links_;
+  std::vector<Flow> flows_;
+  std::vector<std::uint32_t> free_ids_;
+  std::size_t active_count_ = 0;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// A random flow footprint on a two-tier graph: links [0, edge) are NIC/ToR
+/// edge hops crossed with weight 1, the rest fabric links. A sprayed flow
+/// spreads over a random subset of fabric links with 1/k weights; a
+/// single-path one crosses one fabric link. Occasionally a link repeats
+/// within one flow, which the driver's share merging never produces but
+/// the solver must still accept.
+std::vector<FluidSolver::LinkShare> random_shares(Rng& rng,
+                                                  std::uint32_t links,
+                                                  std::uint32_t edge) {
+  std::vector<FluidSolver::LinkShare> shares;
+  shares.push_back({static_cast<std::uint32_t>(rng.below(edge)), 1.0});
+  const std::uint32_t fabric = links - edge;
+  if (rng.below(2) == 0) {
+    const std::uint32_t k = 2 + static_cast<std::uint32_t>(rng.below(fabric - 1));
+    const std::uint32_t start = static_cast<std::uint32_t>(rng.below(fabric));
+    for (std::uint32_t i = 0; i < k; ++i) {
+      shares.push_back({edge + (start + i) % fabric, 1.0 / k});
+    }
+  } else {
+    shares.push_back(
+        {edge + static_cast<std::uint32_t>(rng.below(fabric)), 1.0});
+  }
+  if (rng.below(16) == 0) shares.push_back(shares.back());
+  shares.push_back({static_cast<std::uint32_t>(rng.below(edge)), 1.0});
+  return shares;
+}
+
+TEST_P(FluidPropertyTest, ChurnMatchesFromScratchReferenceBitForBit) {
+  const std::uint64_t seed = GetParam();
+  Rng rng(seed ^ 0xc0ffee11u);
+  constexpr std::uint32_t kEdge = 16;
+  constexpr std::uint32_t kLinks = 40;
+  FluidSolver solver;
+  ReferenceSolver ref;
+  for (std::uint32_t l = 0; l < kLinks; ++l) {
+    // Equal capacities make symmetric bottleneck groups (the tolerance
+    // path); a few odd ones break the symmetry.
+    const double cap = rng.below(4) == 0 ? 1e9 * (1.0 + 49.0 * rng.uniform())
+                                         : 50e9;
+    ASSERT_EQ(solver.add_link(cap), ref.add_link(cap));
+  }
+  std::vector<std::uint32_t> live;
+  std::size_t compared = 0;
+  for (int step = 0; step < 600; ++step) {
+    const std::uint64_t op = rng.below(10);
+    if (op < 5 || live.empty()) {
+      const auto shares = random_shares(rng, kLinks, kEdge);
+      const std::uint32_t id = solver.add_flow(shares);
+      ASSERT_EQ(id, ref.add_flow(shares)) << "flow ids diverged";
+      live.push_back(id);
+    } else if (op < 9) {
+      const std::size_t k = rng.below(live.size());
+      solver.remove_flow(live[k]);
+      ref.remove_flow(live[k]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    } else {
+      const auto l = static_cast<std::uint32_t>(rng.below(kLinks));
+      const double cap = 1e9 * (1.0 + 99.0 * rng.uniform());
+      solver.set_capacity(l, cap);
+      ref.set_capacity(l, cap);
+    }
+    // Batch several edits into one solve now and then, as same-instant
+    // posts do in the driver.
+    if (rng.below(3) == 0) continue;
+    solver.solve();
+    ref.solve();
+    for (const std::uint32_t f : live) {
+      ASSERT_TRUE(same_bits(solver.rate(f), ref.rate(f)))
+          << "step " << step << " flow " << f << ": " << solver.rate(f)
+          << " vs reference " << ref.rate(f);
+    }
+    for (std::uint32_t l = 0; l < kLinks; ++l) {
+      ASSERT_TRUE(same_bits(solver.link_load(l), ref.link_load(l)))
+          << "step " << step << " link " << l << ": " << solver.link_load(l)
+          << " vs reference " << ref.link_load(l);
+    }
+    ++compared;
+  }
+  EXPECT_GT(compared, 300u);
+  EXPECT_EQ(solver.active_flows(), live.size());
+}
+
+TEST(FluidSolverTest, TouchedBottleneckHeadroomIsRecomputed) {
+  // Link b is within the 1e-12 bottleneck tolerance of link a, so both are
+  // round-1 bottlenecks. Freezing f1 on a (visited first) charges 0.999 of
+  // f1 against b, whose recomputed headroom then lies ~5e-10 above the
+  // cutoff: b must not freeze f2 in round 1, and f2 gets the larger rate.
+  FluidSolver solver;
+  ReferenceSolver ref;
+  const std::uint32_t a = solver.add_link(1e9);
+  const std::uint32_t b = solver.add_link(1e9 * (1.0 + 5e-13));
+  ref.add_link(1e9);
+  ref.add_link(1e9 * (1.0 + 5e-13));
+  const std::vector<FluidSolver::LinkShare> s1{{a, 1.0}, {b, 0.999}};
+  const std::vector<FluidSolver::LinkShare> s2{{b, 0.001}};
+  const auto f1 = solver.add_flow(s1);
+  const auto f2 = solver.add_flow(s2);
+  ref.add_flow(s1);
+  ref.add_flow(s2);
+  solver.solve();
+  ref.solve();
+  EXPECT_EQ(solver.rate(f1), 1e9);
+  EXPECT_GT(solver.rate(f2), solver.rate(f1) * (1.0 + 1e-10));
+  EXPECT_TRUE(same_bits(solver.rate(f1), ref.rate(f1)));
+  EXPECT_TRUE(same_bits(solver.rate(f2), ref.rate(f2)));
 }
 
 TEST(FluidSolverTest, SingleBottleneckEqualShares) {

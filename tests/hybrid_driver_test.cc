@@ -5,7 +5,14 @@
 //     and complete in packet mode, without stalling the messages behind it;
 //   * promotion timing after an explicit zoom window: hybrid fidelity
 //     promotes on the 3rd quiet 5 us epoch and not before, pure fluid
-//     fidelity after the first one.
+//     fidelity after the first one;
+//   * deferred fluid service (bytes earned short of a message's end stay in
+//     the driver): a zoom that opens mid-message still syncs the served
+//     prefix to the receiver, and a completion callback that posts to a
+//     flow drained earlier in the same advance keeps that flow active —
+//     both pinned to exact picosecond values;
+//   * zoom reasons are counted per region and per reason;
+//   * snapshotting a connection under fluid service fails loudly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -148,6 +155,142 @@ TEST(HybridPromotionTest, FluidPromotesAfterOneEpoch) {
   EXPECT_EQ(p.at_us[1], RegionMode::kFluid) << "not promoted after 1 epoch";
   EXPECT_EQ(p.at_us[3], RegionMode::kFluid);
   EXPECT_EQ(p.transitions, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Deferred fluid service. The pinned values are those of serving every
+// advance eagerly; a driver that holds earned bytes back must reproduce
+// them exactly.
+// ---------------------------------------------------------------------------
+
+TEST_F(HybridDriverTest, ZoomWindowMidMessageSyncsServedPrefix) {
+  // A second connection from the same host shares its uplink, so each of
+  // its small completions re-rates (and advances) the big message.
+  TransportConfig t;
+  t.algo = MultipathAlgo::kObs;
+  t.num_paths = 8;
+  RdmaConnection* side =
+      fleet_.connect(fabric_.endpoint(0, 0, 0, 0), fabric_.endpoint(1, 1, 0, 0),
+                     t)
+          .value();
+  std::int64_t done_ps = -1;
+  conn_->post_write(4_MiB, [&] { done_ps = sim_.now().ps(); });
+  for (int i = 0; i < 4; ++i) side->post_write(128_KiB, {});
+  const SimTime start = SimTime::micros(40);
+  driver_.request_zoom_window(start, SimTime::micros(60));
+  std::uint64_t prefix = 0;
+  RegionMode mode = RegionMode::kFluid;
+  sim_.schedule_at(start + SimTime::picos(1), [&] {
+    prefix = fleet_.at(dst_).rx_goodput_bytes();
+    mode = driver_.region_mode(0);
+  });
+  sim_.run_until(SimTime::millis(5));
+  EXPECT_EQ(mode, RegionMode::kPacket);
+  EXPECT_EQ(side->completed_messages(), 4u);
+  // Bytes fluid served before the zoom, synced by fluid_advance at thaw.
+  EXPECT_EQ(prefix, 499999u);
+  EXPECT_EQ(done_ps, 194343081);
+  EXPECT_EQ(fleet_.at(dst_).rx_goodput_bytes(), 4_MiB);
+}
+
+TEST_F(HybridDriverTest, PostFromCompletionKeepsDrainedFlowActive) {
+  // Two symmetric connections get bit-equal rates, so their 1 MiB WRITEs
+  // complete in one advance. conn_ registered first and is served first:
+  // its queue drains, then `other`'s completion posts to conn_. The flow
+  // must not retire: the post behind it was never a flow start.
+  TransportConfig t;
+  t.algo = MultipathAlgo::kObs;
+  t.num_paths = 8;
+  RdmaConnection* other =
+      fleet_.connect(fabric_.endpoint(0, 1, 0, 0), fabric_.endpoint(1, 1, 0, 0),
+                     t)
+          .value();
+  std::int64_t first_ps = -1;
+  std::int64_t other_ps = -1;
+  std::int64_t second_ps = -1;
+  std::uint64_t completions_at_post = 0;
+  conn_->post_write(1_MiB, [&] { first_ps = sim_.now().ps(); });
+  other->post_write(1_MiB, [&] {
+    other_ps = sim_.now().ps();
+    completions_at_post = driver_.fluid_completions();
+    conn_->post_write(1_MiB, [&] { second_ps = sim_.now().ps(); });
+  });
+  sim_.run_until(SimTime::millis(5));
+  EXPECT_EQ(first_ps, other_ps) << "not completed in one advance";
+  EXPECT_EQ(first_ps, 41943041);
+  EXPECT_EQ(completions_at_post, 0u);
+  EXPECT_EQ(second_ps, 83886081);
+  // conn_'s flow served both messages as one flow; `other` retired once.
+  EXPECT_EQ(driver_.fluid_completions(), 2u);
+  EXPECT_EQ(driver_.region_mode(0), RegionMode::kFluid);
+  EXPECT_EQ(fleet_.at(dst_).rx_goodput_bytes(), 2_MiB);
+}
+
+// ---------------------------------------------------------------------------
+// Zoom reasons. Two regions (planes), one connection each: an ineligible
+// post zooms only its own region; a zoom window and a fault zoom both.
+// ---------------------------------------------------------------------------
+
+TEST(HybridZoomReasonTest, CountsEachReasonPerRegion) {
+  FabricConfig fc = small_fabric();
+  fc.planes = 2;
+  Simulator sim;
+  ClosFabric fabric(sim, fc);
+  HybridDriver driver(sim, fabric, Fidelity::kHybrid);
+  EngineFleet fleet(sim, fabric);
+  TransportConfig t;
+  t.algo = MultipathAlgo::kObs;
+  t.num_paths = 8;
+  RdmaConnection* c0 = fleet
+                           .connect(fabric.endpoint(0, 0, 0, 0),
+                                    fabric.endpoint(1, 0, 0, 0), t)
+                           .value();
+  RdmaConnection* c1 = fleet
+                           .connect(fabric.endpoint(0, 0, 0, 1),
+                                    fabric.endpoint(1, 0, 0, 1), t)
+                           .value();
+  ASSERT_EQ(driver.region_count(), 2u);
+  c1->post_write(64_KiB, {});
+  // t=0: a zero-length WRITE is ineligible; region 0 zooms alone, then
+  // promotes once quiet (no hold).
+  c0->post_write(0, {});
+  // [100, 150) us: a zoom window over both regions; both promote by 170 us.
+  driver.request_zoom_window(SimTime::micros(100), SimTime::micros(150));
+  // 300 us: a fault zooms both; the repeat finds them in packet mode and
+  // is not counted.
+  sim.schedule_at(SimTime::micros(300), [&] {
+    driver.force_packet(SimTime::micros(20), ZoomReason::kFault);
+    driver.force_packet(SimTime::micros(20), ZoomReason::kFault);
+  });
+  RegionMode before_window[2] = {};
+  sim.schedule_at(SimTime::micros(99), [&] {
+    before_window[0] = driver.region_mode(0);
+    before_window[1] = driver.region_mode(1);
+  });
+  sim.schedule_at(SimTime::micros(500), [] {});
+  sim.run();
+  EXPECT_EQ(before_window[0], RegionMode::kFluid);
+  EXPECT_EQ(before_window[1], RegionMode::kFluid);
+  EXPECT_EQ(driver.zooms(0, ZoomReason::kIneligiblePost), 1u);
+  EXPECT_EQ(driver.zooms(1, ZoomReason::kIneligiblePost), 0u);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(driver.zooms(r, ZoomReason::kZoomWindow), 1u) << "region " << r;
+    EXPECT_EQ(driver.zooms(r, ZoomReason::kFault), 1u) << "region " << r;
+  }
+  // Every zoom is a fluid -> packet transition, paired with a promotion
+  // back (all regions end fluid): 3 + 2 zooms, 5 promotions.
+  EXPECT_EQ(driver.region_mode(0), RegionMode::kFluid);
+  EXPECT_EQ(driver.region_mode(1), RegionMode::kFluid);
+  EXPECT_EQ(driver.transitions(), 10u);
+}
+
+TEST_F(HybridDriverTest, SnapshotOfFluidConnectionFailsLoudly) {
+  // Born in fluid: the connection is frozen before it posts anything.
+  ASSERT_EQ(driver_.region_mode(0), RegionMode::kFluid);
+  conn_->post_write(1_MiB, {});
+  RdmaEngine& src = fleet_.at(fabric_.endpoint(0, 0, 0, 0));
+  EXPECT_DEATH((void)src.save_state(),
+               "snapshot of a connection under fluid service");
 }
 
 }  // namespace

@@ -21,8 +21,11 @@
 #      golden-equivalence harness, mode-transition fault regressions), plus
 #      the fig09-mini packet-vs-hybrid tolerance gate
 #      (tools/check_hybrid_equivalence.py), run-twice hybrid and run-twice
-#      pure-fluid BENCH JSON byte-determinism checks, and a hybrid trace
-#      smoke asserting trace_summarize reports fluid fast-forward spans
+#      pure-fluid BENCH JSON byte-determinism checks, a hybrid trace
+#      smoke asserting trace_summarize reports fluid fast-forward spans,
+#      and a golden diff of fig15_16 --fidelity=hybrid --endpoints=128
+#      stdout (minus [engine] lines) against
+#      tests/golden/fig15_16_hybrid_e128.txt
 #   7. a fig09 mini trace dump + trace_summarize smoke (the tracer's
 #      byte-determinism and the summarizer's parser, end to end)
 #   7b. the ShardedRunSet (run-level) determinism gate: fig09-mini at
@@ -151,6 +154,15 @@ hyb_trace_dir="$(mktemp -d)"
   "$repo_root/build/tools/trace_summarize" hyb_trace.json \
     | grep '^\[fluid\]')
 rm -rf "$hyb_trace_dir"
+
+# Solver and driver optimizations must not move simulated output: any
+# intended change of the hybrid model regenerates this golden with
+#   build/bench/fig15_16_training --fidelity=hybrid --endpoints=128 \
+#     | grep -v '^\[engine\]' > tests/golden/fig15_16_hybrid_e128.txt
+step "hybrid output golden (fig15_16 --fidelity=hybrid --endpoints=128)"
+diff <(build/bench/fig15_16_training --fidelity=hybrid --endpoints=128 \
+         | grep -v '^\[engine\]') \
+     tests/golden/fig15_16_hybrid_e128.txt
 
 step "chaos-soak smoke (fixed seed 0xC0FFEE, >=100 events, audits ON)"
 build/tests/stellar_migrate_tests \
